@@ -66,9 +66,7 @@ from .solver import (
     classify_profile,
     lc_profile,
     minimal_solution,
-    minimal_solution_normalized,
     solver_init,
-    solver_init_massey,
     solver_step,
 )
 
@@ -114,7 +112,6 @@ __all__ = [
     "min_set_at",
     "minimal_poly_of_lrs",
     "minimal_solution",
-    "minimal_solution_normalized",
     "minimal_system_of",
     "nonvanishing_by_extension",
     "nonvanishing_solution",
@@ -124,6 +121,5 @@ __all__ = [
     "poly_gcd",
     "poly_monicize",
     "solver_init",
-    "solver_init_massey",
     "solver_step",
 ]

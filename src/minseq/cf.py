@@ -28,7 +28,7 @@ from .errors import (
 )
 from .genfn import Seq, SolutionPair
 from .poly import Poly, poly_gcd
-from .solver import minimal_solution_normalized, solver_init, solver_step
+from .solver import minimal_solution, solver_init, solver_step
 
 
 class RationalFn:
@@ -224,7 +224,7 @@ def minimal_poly_of_lrs(s):
     otherwise InsufficientTerms reports the LC that was found.
     """
     require_field(s.dom)
-    st = minimal_solution_normalized(s)
+    st = minimal_solution(s, normalized=True)
     lc = st.lc
     if len(s) < 2 * lc:
         raise InsufficientTerms(

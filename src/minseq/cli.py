@@ -9,7 +9,6 @@ Exit codes: 0 ok, 2 bad input or a MinseqError, 3 a violated invariant.
 import argparse
 import json
 import sys
-from typing import NamedTuple, Optional
 
 from .cf import RationalFn, cf_expand_prefix, cf_expand_rational, lc_from_cf
 from .decomp import count_solutions, decompose, enumerate_solutions, minimal_system_of
@@ -20,24 +19,6 @@ from .nonvanish import nonvanishing_solution
 from .oracle import brute_annihilators, brute_lc, brute_lc_at
 from .poly import Poly
 from .solver import classify_profile, minimal_solution, solver_init, solver_step
-
-
-class RunConfig(NamedTuple):
-    command: str
-    field: str
-    terms: Optional[str]
-    file: Optional[str]
-    num: Optional[str]
-    den: Optional[str]
-    max_i: int
-    degree: Optional[int]
-    at: Optional[str]
-    f1: Optional[str]
-    which: Optional[str]
-    massey: bool
-    normalized: bool
-    with_numerator: bool
-    pretty: bool
 
 
 def build_parser():
@@ -92,26 +73,6 @@ def build_parser():
     return parser
 
 
-def config_from_args(ns):
-    return RunConfig(
-        command=ns.command,
-        field=ns.field,
-        terms=getattr(ns, "terms", None),
-        file=getattr(ns, "file", None),
-        num=getattr(ns, "num", None),
-        den=getattr(ns, "den", None),
-        max_i=getattr(ns, "max_i", 64),
-        degree=getattr(ns, "degree", None),
-        at=getattr(ns, "at", None),
-        f1=getattr(ns, "f1", None),
-        which=getattr(ns, "which", None),
-        massey=getattr(ns, "massey", False),
-        normalized=getattr(ns, "normalized", False),
-        with_numerator=getattr(ns, "with_numerator", True),
-        pretty=getattr(ns, "pretty", False),
-    )
-
-
 def elem_out(dom, a):
     if isinstance(dom, BinaryExtField):
         return dom.format(a)
@@ -130,14 +91,17 @@ def pair_out(dom, f):
     return {"f1": poly_out(dom, f.f1), "f2": poly_out(dom, f.f2)}
 
 
-def load_seq(cfg, dom):
-    if (cfg.terms is None) == (cfg.file is None):
+def load_seq(args, dom):
+    if (args.terms is None) == (args.file is None):
         raise MinseqError("provide exactly one of --terms or --file")
-    if cfg.terms is not None:
-        tokens = cfg.terms.split()
+    if args.terms is not None:
+        tokens = args.terms.split()
     else:
-        with open(cfg.file) as fh:
-            tokens = fh.read().split()
+        try:
+            with open(args.file) as fh:
+                tokens = fh.read().split()
+        except UnicodeDecodeError as ex:
+            raise MinseqError(f"{args.file} is not UTF-8 text: {ex}") from None
     return Seq.parse(dom, tokens)
 
 
@@ -151,12 +115,10 @@ def add_pretty(out, dom, **polys):
     }
 
 
-def cmd_solve(cfg, dom):
-    s = load_seq(cfg, dom)
-    st = solver_init(dom, normalized=cfg.normalized,
-                     with_numerator=cfg.with_numerator, massey=cfg.massey)
-    for t in s.terms:
-        st = solver_step(st, t)
+def cmd_solve(args, dom):
+    s = load_seq(args, dom)
+    st = minimal_solution(s, normalized=args.normalized,
+                          with_numerator=args.with_numerator, massey=args.massey)
     cls = classify_profile(st.profile)
     out = {
         "n": st.k,
@@ -172,13 +134,13 @@ def cmd_solve(cfg, dom):
         "class": cls.tag,
         "n_prime": cls.n_prime,
     }
-    if cfg.pretty:
+    if args.pretty:
         add_pretty(out, dom, mu1=st.mu1, mu2=st.mu2, mup1=st.mup1, mup2=st.mup2)
     return out
 
 
-def cmd_profile(cfg, dom):
-    s = load_seq(cfg, dom)
+def cmd_profile(args, dom):
+    s = load_seq(args, dom)
     st = minimal_solution(s, with_numerator=False)
     cls = classify_profile(st.profile)
     return {
@@ -190,17 +152,17 @@ def cmd_profile(cfg, dom):
     }
 
 
-def cmd_cf(cfg, dom):
-    rational = cfg.num is not None or cfg.den is not None
+def cmd_cf(args, dom):
+    rational = args.num is not None or args.den is not None
     if rational:
-        if cfg.num is None or cfg.den is None:
+        if args.num is None or args.den is None:
             raise MinseqError("rational mode needs both --num and --den")
-        if cfg.terms is not None or cfg.file is not None:
+        if args.terms is not None or args.file is not None:
             raise MinseqError("give either --num/--den or a term sequence, not both")
-        S = RationalFn(parse_poly_arg(dom, cfg.num), parse_poly_arg(dom, cfg.den))
-        exp = cf_expand_rational(S, max_i=cfg.max_i)
+        S = RationalFn(parse_poly_arg(dom, args.num), parse_poly_arg(dom, args.den))
+        exp = cf_expand_rational(S, max_i=args.max_i)
     else:
-        s = load_seq(cfg, dom)
+        s = load_seq(args, dom)
         exp = cf_expand_prefix(s)
     if exp.mode == "prefix":
         limit = exp.prefix_len
@@ -220,49 +182,42 @@ def cmd_cf(cfg, dom):
     }
 
 
-def cmd_decompose(cfg, dom):
-    s = load_seq(cfg, dom)
-    f1 = parse_poly_arg(dom, cfg.f1)
-    f2 = bracket_numerator(f1, s)
-    sys_ = minimal_system_of(s)
-    dec = decompose(SolutionPair(f1, f2), s, sys_)
-    n = len(s)
-    lc = sys_.lam.f1.degree
-    nabla = Poly(dom, [sys_.nabla])
-    recon = nabla * f1 == dec.mP * sys_.lam.f1 - dec.m * sys_.lamP.f1
-    if f1.degree <= n:
-        recon = recon and nabla * f2 == dec.mP * sys_.lam.f2 - dec.m * sys_.lamP.f2
-    bounds = dec.mP.degree == f1.degree - lc and dec.m.degree <= f1.degree + lc - n - 1
+def cmd_decompose(args, dom):
+    s = load_seq(args, dom)
+    f1 = parse_poly_arg(dom, args.f1)
+    f = SolutionPair(f1, bracket_numerator(f1, s))
+    # decompose() raises unless the reconstruction and the degree bounds hold
+    dec = decompose(f, s, minimal_system_of(s))
     out = {
         "m": poly_out(dom, dec.m),
         "mp": poly_out(dom, dec.mP),
-        "reconstruction_ok": bool(recon),
-        "bounds_ok": bool(bounds),
+        "reconstruction_ok": True,
+        "bounds_ok": True,
     }
-    if cfg.pretty:
+    if args.pretty:
         add_pretty(out, dom, m=dec.m, mp=dec.mP)
     return out
 
 
-def cmd_count(cfg, dom):
-    s = load_seq(cfg, dom)
-    return {"n": len(s), "degree": cfg.degree, "count": count_solutions(s, cfg.degree)}
+def cmd_count(args, dom):
+    s = load_seq(args, dom)
+    return {"n": len(s), "degree": args.degree, "count": count_solutions(s, args.degree)}
 
 
-def cmd_enumerate(cfg, dom):
-    s = load_seq(cfg, dom)
-    sols = enumerate_solutions(s, cfg.degree)
+def cmd_enumerate(args, dom):
+    s = load_seq(args, dom)
+    sols = enumerate_solutions(s, args.degree)
     return {
         "n": len(s),
-        "degree": cfg.degree,
+        "degree": args.degree,
         "count": len(sols),
         "solutions": [pair_out(dom, f) for f in sols],
     }
 
 
-def cmd_nonvanish(cfg, dom):
-    s = load_seq(cfg, dom)
-    a = dom.parse(cfg.at)
+def cmd_nonvanish(args, dom):
+    s = load_seq(args, dom)
+    a = dom.parse(args.at)
     res = nonvanishing_solution(s, a)
     out = {
         "xi1": poly_out(dom, res.xi.f1),
@@ -271,13 +226,13 @@ def cmd_nonvanish(cfg, dom):
         "M": res.M,
         "used_extension": res.used_extension,
     }
-    if cfg.pretty:
+    if args.pretty:
         add_pretty(out, dom, xi1=res.xi.f1, xi2=res.xi.f2)
     return out
 
 
-def cmd_verify(cfg, dom):
-    s = load_seq(cfg, dom)
+def cmd_verify(args, dom):
+    s = load_seq(args, dom)
     checks = {
         "determinant_identity": True,
         "numerator_identity": True,
@@ -323,9 +278,9 @@ def cmd_verify(cfg, dom):
     return {"ok": True, "checks": checks}
 
 
-def cmd_oracle(cfg, dom):
-    s = load_seq(cfg, dom)
-    if cfg.which == "profile":
+def cmd_oracle(args, dom):
+    s = load_seq(args, dom)
+    if args.which == "profile":
         rep = brute_lc(s)
         return {
             "n": len(s),
@@ -333,17 +288,17 @@ def cmd_oracle(cfg, dom):
             "witnesses": [poly_out(dom, w) for w in rep.witnesses],
             "per_degree_counts": {str(d): c for d, c in sorted(rep.per_degree_counts.items())},
         }
-    if cfg.which == "count":
-        if cfg.degree is None:
+    if args.which == "count":
+        if args.degree is None:
             raise MinseqError("oracle count needs --degree")
         return {
             "n": len(s),
-            "degree": cfg.degree,
-            "count": len(brute_annihilators(s, cfg.degree)),
+            "degree": args.degree,
+            "count": len(brute_annihilators(s, args.degree)),
         }
-    if cfg.at is None:
+    if args.at is None:
         raise MinseqError("oracle nonvanish needs --at")
-    a = dom.parse(cfg.at)
+    a = dom.parse(args.at)
     return {"n": len(s), "at": elem_out(dom, a), "lc_at": brute_lc_at(s, a)}
 
 
@@ -363,13 +318,12 @@ COMMANDS = {
 def run(argv):
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
-    cfg = config_from_args(ns)
     try:
-        dom = parse_domain(cfg.field)
-        out = COMMANDS[cfg.command](cfg, dom)
+        dom = parse_domain(args.field)
+        out = COMMANDS[args.command](args, dom)
     except InvariantViolation as ex:
         print(f"invariant violation: {ex}", file=sys.stderr)
         return 3
@@ -379,7 +333,7 @@ def run(argv):
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    print(json.dumps(out, indent=2 if cfg.pretty else None))
+    print(json.dumps(out, indent=2 if args.pretty else None))
     return 0
 
 

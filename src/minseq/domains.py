@@ -139,6 +139,13 @@ class Domain:
         return self.mul(a, self.inv(b))
 
     def parse(self, text):
+        """The element a literal names; a malformed literal is a MinseqError."""
+        try:
+            return self._parse(text)
+        except (ValueError, ZeroDivisionError) as ex:
+            raise MinseqError(f"bad {self.name} literal {text!r}: {ex}") from None
+
+    def _parse(self, text):
         raise NotImplementedError
 
     def format(self, a):
@@ -185,7 +192,7 @@ class GF2(Domain):
             raise NotInvertible("0 has no inverse")
         return 1
 
-    def parse(self, text):
+    def _parse(self, text):
         v = int(text, 0)
         if v not in (0, 1):
             raise MinseqError(f"gf2 literal must be 0 or 1, got {text!r}")
@@ -229,7 +236,7 @@ class PrimeField(Domain):
             raise NotInvertible("0 has no inverse")
         return pow(a, self.p - 2, self.p)
 
-    def parse(self, text):
+    def _parse(self, text):
         return int(text) % self.p
 
     @property
@@ -320,7 +327,7 @@ class BinaryExtField(Domain):
         """e-th power of the table generator (handy for building test data)."""
         return self._exp[e % self._order]
 
-    def parse(self, text):
+    def _parse(self, text):
         t = text.lower()
         v = int(t[2:], 16) if t.startswith("0x") else int(t, 16)
         if not 0 <= v < (1 << self.m):
@@ -369,7 +376,7 @@ class IntegerRing(Domain):
             raise NotDivisible(f"{b} does not divide {a}")
         return q
 
-    def parse(self, text):
+    def _parse(self, text):
         return int(text)
 
 
@@ -399,11 +406,8 @@ class RationalField(Domain):
             raise NotInvertible("0 has no inverse")
         return 1 / a
 
-    def parse(self, text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as ex:
-            raise MinseqError(f"bad rational literal {text!r}: {ex}") from ex
+    def _parse(self, text):
+        return Fraction(text)
 
 
 _GF2 = GF2()
@@ -431,30 +435,6 @@ def parse_domain(spec):
     except ValueError as exc:
         raise MinseqError(f"bad domain spec {spec!r}: {exc}") from None
     raise MinseqError(f"unknown domain spec {spec!r}")
-
-
-def dom_arith(op, dom, a, b=None):
-    """Spec-level arithmetic dispatch: op in {add, sub, mul, neg}."""
-    if op == "add":
-        return dom.add(a, b)
-    if op == "sub":
-        return dom.sub(a, b)
-    if op == "mul":
-        return dom.mul(a, b)
-    if op == "neg":
-        return dom.neg(a)
-    raise MinseqError(f"unknown arithmetic op {op!r}")
-
-
-def dom_unit(dom, a):
-    """Report unit status and the inverse when it exists."""
-    if dom.is_unit(a):
-        return {"is_unit": True, "inverse": dom.inv(a)}
-    return {"is_unit": False, "inverse": None}
-
-
-def dom_exact_div(dom, a, b):
-    return dom.exact_div(a, b)
 
 
 def require_field(dom):

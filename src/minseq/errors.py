@@ -34,10 +34,6 @@ class ZeroPolynomial(MinseqError):
     """A nonzero polynomial was required."""
 
 
-class DegreeTooLarge(MinseqError):
-    """Polynomial degree exceeds what the operation supports."""
-
-
 class DegreeOutOfRange(MinseqError):
     """Requested degree lies outside the valid range."""
 
@@ -68,10 +64,6 @@ class InsufficientTerms(MinseqError):
 
 class MuDoesNotVanish(MinseqError):
     """The computed minimal polynomial already avoids the given point."""
-
-
-class NoForcingTerm(MinseqError):
-    """No extension term produces a nonzero discrepancy."""
 
 
 class BudgetExceeded(MinseqError):

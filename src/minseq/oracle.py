@@ -15,7 +15,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .domains import GF2, require_finite_field
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation, MinseqError
 from .poly import Poly
 
 DEFAULT_BUDGET = 10_000_000
@@ -28,7 +28,13 @@ class OracleReport(NamedTuple):
 
 
 def _budget():
-    return int(os.environ.get("MINSEQ_ORACLE_BUDGET", DEFAULT_BUDGET))
+    raw = os.environ.get("MINSEQ_ORACLE_BUDGET", DEFAULT_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:
+        raise MinseqError(
+            f"MINSEQ_ORACLE_BUDGET must be an integer, got {raw!r}"
+        ) from None
 
 
 def _check_budget(q, d):

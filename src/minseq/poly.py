@@ -88,13 +88,27 @@ class Poly:
         return Poly(dom, out)
 
     def __sub__(self, other):
+        return self.sub_scaled(None, 0, other, None, 0)
+
+    def sub_scaled(self, a, i, other, b, j):
+        """a*x^i*self - b*x^j*other in one pass.
+
+        a or b None leaves that side unscaled; i, j >= 0. This is the
+        solver's whole update: mu <- a*x^i*mu - b*x^j*mu'.
+        """
         self._check(other)
         dom = self.dom
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            dom,
-            [dom.sub(self.coeff(i), other.coeff(i)) for i in range(n)],
-        )
+        mul, sub, zero = dom.mul, dom.sub, dom.zero
+        f = self.coeffs if a is None else [mul(a, c) for c in self.coeffs]
+        g = other.coeffs if b is None else [mul(b, c) for c in other.coeffs]
+        if i and f:
+            f = [zero] * i + f
+        if len(f) < j + len(g):
+            f = f + [zero] * (j + len(g) - len(f))
+        out = f[:j]
+        out += [sub(c, d) for c, d in zip(f[j:], g)]
+        out += f[j + len(g):]
+        return Poly(dom, out)
 
     def __neg__(self):
         dom = self.dom
@@ -188,27 +202,6 @@ class Poly:
                 else:
                     parts.append(f"{dom.format(c)}*{xk}")
         return " + ".join(parts)
-
-
-def poly_arith(op, f, arg=None):
-    """Named dispatch: op in {add, sub, mul, scale, shift, neg}."""
-    if op == "add":
-        return f + arg
-    if op == "sub":
-        return f - arg
-    if op == "mul":
-        return f * arg
-    if op == "scale":
-        return f.scale(arg)
-    if op == "shift":
-        return f.shift(arg)
-    if op == "neg":
-        return -f
-    raise MinseqError(f"unknown arithmetic op {op!r}")
-
-
-def poly_eval(f, a):
-    return f(a)
 
 
 def poly_monicize(f):

@@ -3,7 +3,8 @@
 The state carries a minimal solution mu = (mu1, mu2) for the terms consumed
 so far, the auxiliary pair muP from just before the last degree jump, the
 last nonzero discrepancy deltaP, the branch counter e = k + 1 - 2*|mu1|, and
-the nonzero scalar nabla with mu2*muP1 - mu1*muP2 = nabla.
+the nonzero scalar nabla with mu2*muP1 - mu1*muP2 = nabla (the massey start
+has determinant 0, and nabla then only multiplies up the update factors).
 
 Steps are pure: solver_step returns a fresh state and never mutates its
 input, so partial states can be retained (the continued-fraction prefix
@@ -120,18 +121,19 @@ def solver_init(spec, normalized=False, with_numerator=True, massey=False):
     return st
 
 
-def solver_init_massey(spec, normalized=False, with_numerator=True):
-    return solver_init(
-        spec, normalized=normalized, with_numerator=with_numerator, massey=True
-    )
+def _update_muls(a, f, g):
+    """Products in a*x^i*f - b*x^j*g: the length of each rescaled factor."""
+    return len(g.coeffs) + (0 if a is None else len(f.coeffs))
 
 
 def solver_step(state, next_term):
     """Consume one term and return the new state.
 
-    Branching: on a nonzero discrepancy, e <= 0 rewrites mu in place
-    (degree preserved); e >= 1 jumps, swapping mu into muP. The counter e
-    increments unconditionally at the end, including on zero discrepancies.
+    On a nonzero discrepancy delta both columns take the one update
+    mu <- a*x^max(e,0)*mu - b*x^max(-e,0)*muP, with (a, b) = (deltaP, delta)
+    division free or (1, delta/deltaP) normalized. e <= 0 keeps the degree;
+    e >= 1 jumps, and the old mu becomes muP. The counter e increments
+    unconditionally at the end, including on zero discrepancies.
     """
     dom = state.dom
     new = state._copy()
@@ -143,41 +145,27 @@ def solver_step(state, next_term):
 
     if delta != dom.zero:
         e = state.e
-        mup1, mup2 = state.mup1, state.mup2
         if state.normalized:
-            rho = dom.mul(delta, dom.inv(state.deltaP))
+            a, b = None, dom.mul(delta, dom.inv(state.deltaP))
             muls += 1  # one division
-            muls += len(mup1.coeffs)
-            if e <= 0:
-                new.mu1 = mu1 - mup1.scale(rho).shift(-e)
-                if state.with_numerator:
-                    new.mu2 = state.mu2 - mup2.scale(rho).shift(-e)
-                    muls += len(mup2.coeffs)
-            else:
-                new.mu1 = mu1.shift(e) - mup1.scale(rho)
-                if state.with_numerator:
-                    new.mu2 = state.mu2.shift(e) - mup2.scale(rho)
-                    muls += len(mup2.coeffs)
-                new.mup1, new.mup2 = mu1, state.mu2
-                new.deltaP = delta
-                new.e = -e
         else:
-            dp = state.deltaP
-            muls += len(mu1.coeffs) + len(mup1.coeffs)
-            if e <= 0:
-                new.mu1 = mu1.scale(dp) - mup1.scale(delta).shift(-e)
-                if state.with_numerator:
-                    new.mu2 = state.mu2.scale(dp) - mup2.scale(delta).shift(-e)
-                    muls += len(state.mu2.coeffs) + len(mup2.coeffs)
-            else:
-                new.mu1 = mu1.shift(e).scale(dp) - mup1.scale(delta)
-                if state.with_numerator:
-                    new.mu2 = state.mu2.shift(e).scale(dp) - mup2.scale(delta)
-                    muls += len(state.mu2.coeffs) + len(mup2.coeffs)
-                new.mup1, new.mup2 = mu1, state.mu2
-                new.deltaP = delta
-                new.e = -e
-        new.nabla = dom.mul(new.deltaP, state.nabla)
+            a, b = state.deltaP, delta
+        i, j = max(e, 0), max(-e, 0)
+        new.mu1 = mu1.sub_scaled(a, i, state.mup1, b, j)
+        muls += _update_muls(a, mu1, state.mup1)
+        if state.with_numerator:
+            new.mu2 = state.mu2.sub_scaled(a, i, state.mup2, b, j)
+            muls += _update_muls(a, state.mu2, state.mup2)
+        # the determinant picks up b at a jump (mu moves into mu') and a
+        # otherwise (mu' stays put)
+        factor = a
+        if e >= 1:
+            new.mup1, new.mup2 = mu1, state.mu2
+            new.deltaP = delta
+            new.e = -e
+            factor = b
+        if factor is not None:
+            new.nabla = dom.mul(factor, state.nabla)
         muls += 1
 
     new.e += 1
@@ -191,23 +179,12 @@ def solver_step(state, next_term):
     return new
 
 
-def minimal_solution(s, with_numerator=True, massey=False):
-    """Fold solver_step over the whole sequence."""
+def minimal_solution(s, normalized=False, with_numerator=True, massey=False):
+    """Fold solver_step over the whole sequence (see solver_init for flags)."""
     if len(s) < 1:
         raise MinseqError("need at least one term")
-    st = solver_init(s.dom, with_numerator=with_numerator, massey=massey)
-    for t in s.terms:
-        st = solver_step(st, t)
-    return st
-
-
-def minimal_solution_normalized(s, with_numerator=True, massey=False):
-    """Field-only variant keeping mu1 monic at every step."""
-    if len(s) < 1:
-        raise MinseqError("need at least one term")
-    st = solver_init(
-        s.dom, normalized=True, with_numerator=with_numerator, massey=massey
-    )
+    st = solver_init(s.dom, normalized=normalized,
+                     with_numerator=with_numerator, massey=massey)
     for t in s.terms:
         st = solver_step(st, t)
     return st

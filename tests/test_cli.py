@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minseq.cli import build_parser, main, run
+from minseq.domains import parse_domain
+from minseq.poly import Poly
 
 TABLE = "0 1 1 0 0 1 0 1"
 
@@ -18,6 +21,14 @@ def run_json(argv):
         code = run(argv)
     assert code == 0, buf.getvalue()
     return json.loads(buf.getvalue())
+
+
+def code_of(argv):
+    import io
+    from contextlib import redirect_stdout, redirect_stderr
+
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return run(argv)
 
 
 def test_solve_record():
@@ -91,7 +102,18 @@ def test_gf2m_hex_roundtrip():
     )
     assert out["mu1"] == ["0xD", "0x8", "0xC", "0x1"]
     assert out["mu2"] == ["0x7", "0x4", "0x6"]
-    assert out["nabla"] == "0xA"
+    assert out["nabla"] == "0xE"
+    dom = parse_domain("gf2m:4:0x13")
+    mu1, mu2, mup1, mup2 = (
+        Poly.parse(dom, out[k]) for k in ("mu1", "mu2", "mup1", "mup2")
+    )
+    assert mu2 * mup1 - mu1 * mup2 == Poly.parse(dom, [out["nabla"]])
+
+
+def test_normalized_nabla_is_the_determinant():
+    out = run_json(["solve", "--normalized", "--field", "gfp:7",
+                    "--terms", "1 3 2 6 4 5 0 1"])
+    assert out["nabla"] == 6
 
 
 def test_rational_field_literals():
@@ -160,13 +182,6 @@ def test_pretty_output():
 
 
 def test_exit_codes():
-    import io
-    from contextlib import redirect_stdout, redirect_stderr
-
-    def code_of(argv):
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return run(argv)
-
     assert code_of(["solve", "--field", "gf2", "--terms", "0 1"]) == 0
     assert code_of(["solve", "--field", "nope", "--terms", "0"]) == 2
     assert code_of(["solve", "--field", "gf2"]) == 2  # no terms source
@@ -176,6 +191,66 @@ def test_exit_codes():
     assert code_of(["nope"]) == 2
     assert code_of(["cf", "--field", "gfp:5", "--num", "0 1", "--den", "1 1"]) == 2
     assert code_of(["solve", "--field", "gf2", "--file", "/no/such/file"]) == 2
+
+
+def test_empty_solve_exits_2():
+    assert code_of(["solve", "--field", "gf2", "--terms", ""]) == 2
+    assert code_of(["profile", "--field", "gf2", "--terms", ""]) == 2
+
+
+@pytest.mark.parametrize("field, terms", [
+    ("gfp:7", "1 x"),
+    ("int", "2.5"),
+    ("gf2", "z"),
+    ("gf2m:4:0x13", "g"),
+    ("gf2m:4:0x13", "0x"),
+    ("rat", "1/0"),
+])
+def test_malformed_literals_exit_2(field, terms):
+    assert code_of(["solve", "--field", field, "--terms", terms]) == 2
+    assert code_of(["nonvanish", "--field", field, "--terms", "1",
+                    "--at", terms.split()[-1]]) == 2
+
+
+def test_malformed_oracle_budget_exits_2(monkeypatch):
+    monkeypatch.setenv("MINSEQ_ORACLE_BUDGET", "abc")
+    assert code_of(["oracle", "profile", "--field", "gf2", "--terms", "0 1"]) == 2
+
+
+def test_non_utf8_file_exits_2(tmp_path):
+    p = tmp_path / "terms.txt"
+    p.write_bytes(b"0 1 \xff\xfe 1")
+    assert code_of(["solve", "--field", "gf2", "--file", str(p)]) == 2
+
+
+FUZZ_FIELDS = ["gf2", "gfp:7", "gfp:65521", "gf2m:4:0x13", "gf2m:8:0x11B", "int", "rat"]
+FUZZ_LITERALS = st.sampled_from(
+    ["0", "1", "2", "-3", "10", "0x1", "0xA", "ff", "1/2", "-2/3"]
+) | st.text(alphabet="0123456789abfgxz./-+_ ", max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cmd=st.sampled_from(["solve", "profile", "cf", "cf-rational", "nonvanish"]),
+    field=st.sampled_from(FUZZ_FIELDS),
+    tokens=st.lists(FUZZ_LITERALS, max_size=8),
+    at=FUZZ_LITERALS,
+    flags=st.lists(st.sampled_from(["--massey", "--normalized", "--no-numerator", "--pretty"]),
+                   unique=True),
+)
+def test_fuzzed_argv_exits_0_or_2(cmd, field, tokens, at, flags):
+    """Any mix of valid and malformed literals is an answer or exit 2."""
+    argv = [cmd.split("-")[0], "--field", field]
+    if cmd == "cf-rational":
+        half = len(tokens) // 2
+        argv += ["--num", " ".join(tokens[:half]), "--den", " ".join(tokens[half:])]
+    else:
+        argv += ["--terms", " ".join(tokens)]
+    if cmd == "nonvanish":
+        argv += ["--at", at]
+    if cmd == "solve":
+        argv += flags
+    assert code_of(argv) in (0, 2), argv
 
 
 def test_invariant_violation_exit_code(monkeypatch):

@@ -7,9 +7,6 @@ from minseq.domains import (
     IntegerRing,
     PrimeField,
     RationalField,
-    dom_arith,
-    dom_exact_div,
-    dom_unit,
     parse_domain,
     require_field,
     require_finite_field,
@@ -147,17 +144,15 @@ def test_rational_field_literals():
         d.parse("1/0")
 
 
-def test_dom_arith_dispatch():
+def test_prime_field_direct_ops():
     d = PrimeField(7)
-    assert dom_arith("add", d, 3, 5) == 1
-    assert dom_arith("sub", d, 3, 5) == 5
-    assert dom_arith("mul", d, 3, 5) == 1
-    assert dom_arith("neg", d, 3) == 4
-    with pytest.raises(MinseqError):
-        dom_arith("pow", d, 3, 2)
-    assert dom_unit(d, 3) == {"is_unit": True, "inverse": 5}
-    assert dom_unit(d, 0) == {"is_unit": False, "inverse": None}
-    assert dom_exact_div(d, 6, 2) == 3
+    assert d.add(3, 5) == 1
+    assert d.sub(3, 5) == 5
+    assert d.mul(3, 5) == 1
+    assert d.neg(3) == 4
+    assert d.is_unit(3) and d.inv(3) == 5
+    assert not d.is_unit(0)
+    assert d.exact_div(6, 2) == 3
 
 
 def test_domain_equality_is_by_name():

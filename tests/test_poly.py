@@ -9,7 +9,7 @@ from minseq.errors import (
     SpecMismatch,
     ZeroPolynomial,
 )
-from minseq.poly import NEG_INF, Poly, poly_arith, poly_eval, poly_gcd, poly_monicize
+from minseq.poly import NEG_INF, Poly, poly_gcd, poly_monicize
 
 F7 = PrimeField(7)
 Z = IntegerRing()
@@ -76,7 +76,7 @@ def test_eval_horner():
     f = P7(1, 0, 1)  # x^2 + 1
     assert f(0) == 1
     assert f(3) == 3
-    assert poly_eval(f, 5) == 5
+    assert f(5) == 5
 
 
 def test_divmod_over_field():
@@ -122,16 +122,14 @@ def test_gcd():
         poly_gcd(Poly(Z, [2]), Poly(Z, [4]))
 
 
-def test_poly_arith_dispatch():
+def test_direct_operators():
     f, g = P7(1, 1), P7(2, 0, 1)
-    assert poly_arith("add", f, g) == f + g
-    assert poly_arith("sub", f, g) == f - g
-    assert poly_arith("mul", f, g) == f * g
-    assert poly_arith("scale", f, 3) == f.scale(3)
-    assert poly_arith("shift", f, 2) == f.shift(2)
-    assert poly_arith("neg", f) == -f
-    with pytest.raises(MinseqError):
-        poly_arith("compose", f, g)
+    assert f + g == P7(3, 1, 1)
+    assert f - g == P7(6, 1, 6)
+    assert f * g == P7(2, 2, 1, 1)
+    assert f.scale(3) == P7(3, 3)
+    assert f.shift(2) == P7(0, 0, 1, 1)
+    assert -f == P7(6, 6)
 
 
 def test_str_forms():
@@ -170,3 +168,14 @@ def test_degree_of_product(a, b):
         assert (f * g).is_zero
     else:
         assert (f * g).degree == f.degree + g.degree
+
+
+scalars7 = st.none() | st.integers(0, 6)
+
+
+@given(coeffs7, coeffs7, scalars7, scalars7, st.integers(0, 4), st.integers(0, 4))
+def test_sub_scaled_is_the_composed_update(a, b, x, y, i, j):
+    f, g = Poly(F7, a), Poly(F7, b)
+    lhs = f if x is None else f.scale(x)
+    rhs = g if y is None else g.scale(y)
+    assert f.sub_scaled(x, i, g, y, j) == lhs.shift(i) + -rhs.shift(j)

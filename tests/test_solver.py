@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +23,7 @@ from minseq.solver import (
     classify_profile,
     lc_profile,
     minimal_solution,
-    minimal_solution_normalized,
     solver_init,
-    solver_init_massey,
     solver_step,
 )
 
@@ -150,9 +149,27 @@ def test_normalized_matches_plain_over_gf2():
     for _ in range(50):
         terms = [rng.randrange(2) for _ in range(rng.randrange(1, 16))]
         a = minimal_solution(Seq(F2, terms))
-        b = minimal_solution_normalized(Seq(F2, terms))
+        b = minimal_solution(Seq(F2, terms), normalized=True)
         assert a.mu1 == b.mu1 and a.mu2 == b.mu2
         assert a.profile == b.profile
+
+
+@pytest.mark.parametrize(
+    "dom", [F2, PrimeField(7), GF16, RationalField()], ids=lambda d: d.name
+)
+def test_normalized_nabla_is_the_determinant(dom):
+    rng = random.Random(17)
+
+    def draw():
+        if dom.is_finite:
+            return rng.choice(list(dom.elements()))
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for _ in range(40):
+        terms = [draw() for _ in range(rng.randrange(1, 14))]
+        for st_ in run_trace(dom, terms, normalized=True):
+            det = st_.mu2 * st_.mup1 - st_.mu1 * st_.mup2
+            assert det == Poly(dom, [st_.nabla]), (terms, st_.k)
 
 
 def test_normalized_requires_field():
@@ -298,8 +315,8 @@ def test_mul_count_bounds_normalized():
     for n in (10, 25, 60):
         terms = [rng.randrange(101) for _ in range(n)]
         s = Seq(dom, terms)
-        full = minimal_solution_normalized(s)
-        lean = minimal_solution_normalized(s, with_numerator=False)
+        full = minimal_solution(s, normalized=True)
+        lean = minimal_solution(s, normalized=True, with_numerator=False)
         assert lean.mul_count <= 2 * n * n / 4 + 8 * n
         assert full.mul_count <= 3 * n * n / 4 + 8 * n
 
