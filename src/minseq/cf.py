@@ -16,8 +16,9 @@ the length-n prefix exactly when n lies in [n_i, n_{i+1}).
 """
 
 from bisect import bisect_right
+from typing import NamedTuple, Optional
 
-from .domains import require_field
+from .domains import Domain, require_field
 from .errors import (
     InsufficientTerms,
     InvariantViolation,
@@ -74,37 +75,15 @@ class RationalFn:
         return f"RationalFn(({self.num}) / ({self.den}))"
 
 
-class CFExpansion:
-    __slots__ = (
-        "dom",
-        "mode",
-        "quotients",
-        "convergents",
-        "partition",
-        "terminated",
-        "precision_exhausted",
-        "prefix_len",
-    )
-
-    def __init__(
-        self,
-        dom,
-        mode,
-        quotients,
-        convergents,
-        partition,
-        terminated,
-        precision_exhausted,
-        prefix_len=None,
-    ):
-        self.dom = dom
-        self.mode = mode
-        self.quotients = quotients
-        self.convergents = convergents
-        self.partition = partition
-        self.terminated = terminated
-        self.precision_exhausted = precision_exhausted
-        self.prefix_len = prefix_len
+class CFExpansion(NamedTuple):
+    dom: Domain
+    mode: str
+    quotients: list
+    convergents: list
+    partition: list
+    terminated: bool
+    precision_exhausted: bool
+    prefix_len: Optional[int] = None
 
 
 def cf_expand_rational(S, max_i=64):

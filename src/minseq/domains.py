@@ -12,6 +12,7 @@ bit-vector (with or without 0x) for gf2m, a signed decimal for int, and
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (
     MinseqError,
@@ -22,18 +23,28 @@ from .errors import (
 )
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base above (psi_13); below it
+# Miller-Rabin on those bases alone is deterministic.
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    """Deterministic Miller-Rabin, valid for n < 3.3e24."""
+    """Miller-Rabin on the bases 2..41, then Baillie-PSW from _MR_BOUND on.
+
+    Above the bound a strong Lucas test joins base 2; no composite is
+    known to pass both.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -43,7 +54,64 @@ def _is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _is_strong_lucas_prp(n)
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n):
+    """Strong Lucas probable-prime test with Selfridge's parameters.
+
+    n is odd and has no prime factor up to 41. D runs over 5, -7, 9, -11,
+    ... to the first Jacobi symbol (D/n) = -1, with P = 1, Q = (1 - D)/4;
+    n passes when U_t = 0 or V_(t*2^r) = 0 for some r < s, n + 1 = t*2^s.
+    """
+    if isqrt(n) ** 2 == n:  # no such D exists for a square
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:  # gcd(D, n) > 1 and |D| < n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    t, s = n + 1, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 (P = 1), Q^1
+    for bit in bin(t)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 # -- carry-less polynomial arithmetic on bitmask-encoded GF(2)[x] ------------

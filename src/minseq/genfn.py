@@ -68,18 +68,20 @@ class SolutionPair(NamedTuple):
     f2: Poly
 
 
-def conv_coeff(f, s, i):
-    """Coefficient of x^i in f * genfn(s)."""
-    dom = f.dom
-    acc = dom.zero
-    for j, fj in enumerate(f.coeffs):
-        if fj == dom.zero:
-            continue
-        sk = s.term(i - j)
-        if sk == dom.zero:
-            continue
-        acc = dom.add(acc, dom.mul(fj, sk))
+def dot(dom, coeffs, terms):
+    """sum c*u over zip(coeffs, terms): the one convolution kernel."""
+    add, mul, zero = dom.add, dom.mul, dom.zero
+    acc = zero
+    for c, u in zip(coeffs, terms):
+        if c != zero and u != zero:
+            acc = add(acc, mul(c, u))
     return acc
+
+
+def conv_coeff(f, s, i):
+    """Coefficient of x^i in f * genfn(s): sum_j f_j s_{i-j}."""
+    lo = max(i, 0)
+    return dot(f.dom, f.coeffs[lo:], s.terms[lo - i:len(f.coeffs) - i])
 
 
 def is_annihilator(f, s):
@@ -119,6 +121,6 @@ def discrepancy(g1, t):
 
     t is the sequence extended through the term being consumed, so for a
     candidate annihilator of the first n terms this is the first convolution
-    coefficient not already forced to zero.
+    coefficient not already forced to zero (zero for the zero polynomial).
     """
-    return conv_coeff(g1, t, g1.degree - (len(t) - 1))
+    return conv_coeff(g1, t, len(g1.coeffs) - len(t))

@@ -12,6 +12,7 @@ unit-free nonzero slope lc(mu1).
 
 from typing import NamedTuple
 
+from .decomp import _degree_at_most, _exact_degree
 from .domains import require_finite_field
 from .errors import InvariantViolation, MinseqError, MuDoesNotVanish
 from .genfn import SolutionPair, discrepancy
@@ -56,8 +57,6 @@ def min_set_at(s, a):
     phi' runs over degree exactly M, phi over degree <= M - e_s with
     phi(a) != 0.
     """
-    from .decomp import _degree_at_most, _exact_degree
-
     dom = s.dom
     require_finite_field(dom)
     st = minimal_solution(s)

@@ -6,9 +6,14 @@ last nonzero discrepancy deltaP, the branch counter e = k + 1 - 2*|mu1|, and
 the nonzero scalar nabla with mu2*muP1 - mu1*muP2 = nabla (the massey start
 has determinant 0, and nabla then only multiplies up the update factors).
 
-Steps are pure: solver_step returns a fresh state and never mutates its
-input, so partial states can be retained (the continued-fraction prefix
-mode does exactly that).
+A run keeps its history once: one append-only list of the terms consumed
+and one of the LC after each step. Every state of the run holds k and
+references to both lists and reads only below k, so seq and profile are
+views, not copies. Steps are pure: solver_step returns a fresh state and
+never changes what its input reports, so partial states can be retained
+(the continued-fraction prefix mode does exactly that). Stepping a retained
+state again branches: the new state copies the history below k once and
+appends to that copy.
 
 mul_count tallies domain multiplications the way the cost bounds are stated:
 one per coefficient slot touched by a scalar product (zero slots included,
@@ -19,9 +24,9 @@ actually rescaled, which is where the normalised variant saves a factor.
 
 from typing import NamedTuple, Optional
 
-from .domains import Domain, parse_domain, require_field
+from .domains import require_field
 from .errors import InvariantViolation, MinseqError
-from .genfn import Seq, SolutionPair, discrepancy
+from .genfn import Seq, SolutionPair, dot
 from .poly import Poly
 
 TRIVIAL = "Trivial"
@@ -37,7 +42,9 @@ class SeqClass(NamedTuple):
 class SolverState:
     __slots__ = (
         "dom",
-        "seq",
+        "k",
+        "_terms",
+        "_lcs",
         "mu1",
         "mu2",
         "mup1",
@@ -45,7 +52,6 @@ class SolverState:
         "deltaP",
         "e",
         "nabla",
-        "profile",
         "mul_count",
         "normalized",
         "with_numerator",
@@ -53,9 +59,14 @@ class SolverState:
     )
 
     @property
-    def k(self):
-        """Number of terms consumed."""
-        return len(self.seq)
+    def seq(self):
+        """The k terms consumed, read from the run's history."""
+        return Seq(self.dom, self._terms[:self.k])
+
+    @property
+    def profile(self):
+        """LC after each of the k steps, read from the run's history."""
+        return tuple(self._lcs[:self.k])
 
     @property
     def lc(self):
@@ -82,24 +93,19 @@ class SolverState:
         )
 
 
-def _as_domain(spec):
-    if isinstance(spec, Domain):
-        return spec
-    return parse_domain(spec)
-
-
-def solver_init(spec, normalized=False, with_numerator=True, massey=False):
+def solver_init(dom, normalized=False, with_numerator=True, massey=False):
     """Fresh state: mu = (1, 0), muP = (0, -1), deltaP = 1, e = 1, nabla = 1.
 
     massey=True switches the auxiliary pair to (1, 0); the first nonzero
     discrepancy then produces mu1 = x^n - s_v instead of (x^n, s_v).
     """
-    dom = _as_domain(spec)
     if normalized:
         require_field(dom)
     st = SolverState.__new__(SolverState)
     st.dom = dom
-    st.seq = Seq(dom, [])
+    st.k = 0
+    st._terms = []
+    st._lcs = []
     st.mu1 = Poly.one(dom)
     st.mu2 = Poly.zero(dom) if with_numerator else None
     if massey:
@@ -113,7 +119,6 @@ def solver_init(spec, normalized=False, with_numerator=True, massey=False):
     st.deltaP = dom.one
     st.e = 1
     st.nabla = dom.one
-    st.profile = ()
     st.mul_count = 0
     st.normalized = normalized
     st.with_numerator = with_numerator
@@ -136,10 +141,17 @@ def solver_step(state, next_term):
     unconditionally at the end, including on zero discrepancies.
     """
     dom = state.dom
+    k = state.k
+    terms, lcs = state._terms, state._lcs
+    if len(terms) != k:  # a retained state: branch off its own history
+        terms, lcs = terms[:k], lcs[:k]
+    terms.append(next_term)
     new = state._copy()
-    new.seq = state.seq.extend(next_term)
+    new.k = k + 1
+    new._terms, new._lcs = terms, lcs
     mu1 = state.mu1
-    delta = discrepancy(mu1, new.seq)
+    # the coefficient of x^(|mu1| - k) in mu1 * genfn of the k + 1 terms
+    delta = dot(dom, mu1.coeffs, terms[k + 1 - len(mu1.coeffs):])
     new.last_delta = delta
     muls = len(mu1.coeffs)  # |mu1| + 1 products for the discrepancy
 
@@ -170,7 +182,7 @@ def solver_step(state, next_term):
 
     new.e += 1
     lc = new.mu1.degree
-    new.profile = state.profile + (lc,)
+    lcs.append(lc)
     new.mul_count = state.mul_count + muls
     if new.e != new.k + 1 - 2 * lc:
         raise InvariantViolation(

@@ -193,6 +193,20 @@ def test_exit_codes():
     assert code_of(["solve", "--field", "gf2", "--file", "/no/such/file"]) == 2
 
 
+@pytest.mark.parametrize("modulus", [
+    "318665857834031151167461",  # 399165290221 * 798330580441
+    "3317044064679887385961981",  # strong pseudoprime to the bases 2..41
+])
+def test_composite_gfp_modulus_exits_2(modulus):
+    assert code_of(["solve", "--field", f"gfp:{modulus}", "--terms", "1 2 3"]) == 2
+
+
+def test_large_prime_gfp_moduli_accepted():
+    for p in (2**89 - 1, 2**127 - 1):
+        out = run_json(["solve", "--field", f"gfp:{p}", "--terms", "1 2 3"])
+        assert out["lc"] >= 1
+
+
 def test_empty_solve_exits_2():
     assert code_of(["solve", "--field", "gf2", "--terms", ""]) == 2
     assert code_of(["profile", "--field", "gf2", "--terms", ""]) == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,8 @@ from minseq.domains import (
     IntegerRing,
     PrimeField,
     RationalField,
+    _is_prime,
+    _is_strong_lucas_prp,
     parse_domain,
     require_field,
     require_finite_field,
@@ -53,6 +57,51 @@ def test_prime_field_rejects_composites():
             PrimeField(p)
     for p in (2, 3, 7, 97, 65537):
         PrimeField(p)
+
+
+# psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the bases
+# 2..37; psi_13 = 3317044064679887385961981, one to every base 2..41, which
+# only the strong Lucas test rejects.
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert PSI12 == 399165290221 * 798330580441
+    for n in (PSI12, PSI13, (2**61 - 1) * (2**89 - 1)):
+        assert not _is_prime(n)
+        with pytest.raises(MinseqError):
+            PrimeField(n)
+    for n in (2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1):
+        assert _is_prime(n)
+    assert PrimeField(2**127 - 1).inv(3) * 3 % (2**127 - 1) == 1
+
+
+def test_strong_lucas_test_on_its_pseudoprimes():
+    # the Lucas half alone is fooled by these (and Miller-Rabin is not)
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert _is_strong_lucas_prp(n) and not _is_prime(n)
+    for n in (PSI12, PSI13, 43 * 47 * 53 * 59 * 61 * 67 * 71 * 73):
+        assert not _is_strong_lucas_prp(n)
+    assert not _is_strong_lucas_prp(1000003**2)
+    for n in (43, 1000003, 2**89 - 1, 2**127 - 1):
+        assert _is_strong_lucas_prp(n)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for n in range(3000):
+        assert _is_prime(n) == sympy.isprime(n), n
+    for lo, hi in ((2, 2**64), (PSI13, 2**160)):
+        for _ in range(400):
+            n = rng.randrange(lo, hi) | 1
+            assert _is_prime(n) == sympy.isprime(n), n
+    for _ in range(40):
+        p = sympy.randprime(PSI13, 2**200)
+        q = sympy.randprime(2**20, 2**80)
+        assert _is_prime(p) and not _is_prime(p * q)
 
 
 def test_prime_field_inverse():

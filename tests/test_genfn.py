@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minseq.domains import GF2, IntegerRing, PrimeField, parse_domain
 from minseq.errors import MinseqError, NotAnnihilator
@@ -8,6 +9,7 @@ from minseq.genfn import (
     bracket_numerator,
     conv_coeff,
     discrepancy,
+    dot,
     is_annihilator,
     make_solution,
 )
@@ -44,6 +46,59 @@ def test_conv_coeff_is_a_convolution():
     assert conv_coeff(f, s, 0) == 13
     assert conv_coeff(f, s, 1) == 2 * 3  # f_1 s_0
     assert conv_coeff(f, s, -1) == 1 * 5  # f_0 s_-1
+
+
+KERNEL_DOMAINS = [
+    parse_domain(spec) for spec in ("gf2", "gfp:7", "gf2m:4:0x13", "int", "rat")
+]
+
+
+def _elements(dom):
+    if dom.is_finite:
+        return st.sampled_from(list(dom.elements()))
+    if dom.name == "int":
+        return st.integers(-9, 9)
+    return st.fractions(-9, 9, max_denominator=5)
+
+
+def conv_by_definition(f, s, i):
+    """sum of f_j * s_{-m} over every pair with j - m = i."""
+    dom = f.dom
+    acc = dom.zero
+    for j, fj in enumerate(f.coeffs):
+        for m, sm in enumerate(s.terms):
+            if j - m == i:
+                acc = dom.add(acc, dom.mul(fj, sm))
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_conv_coeff_matches_the_double_loop(data):
+    dom = data.draw(st.sampled_from(KERNEL_DOMAINS), label="dom")
+    f = Poly(dom, data.draw(st.lists(_elements(dom), max_size=6), label="f"))
+    s = Seq(dom, data.draw(st.lists(_elements(dom), max_size=8), label="s"))
+    n = len(s)
+    i = data.draw(st.integers(-n - 3, len(f.coeffs) + 3), label="i")
+    assert conv_coeff(f, s, i) == conv_by_definition(f, s, i)
+    want = conv_by_definition(f, s, len(f.coeffs) - n)
+    assert discrepancy(f, s) == want
+
+
+@pytest.mark.parametrize("dom", KERNEL_DOMAINS, ids=lambda d: d.name)
+def test_conv_coeff_edge_cases(dom):
+    one, zero = dom.one, dom.zero
+    s = Seq(dom, [one, one, one])
+    f = Poly(dom, [one, one])
+    assert conv_coeff(f, s, 1) == one  # i > 0 reads only f_1 s_0
+    assert conv_coeff(f, s, 2) == zero  # past the top of f
+    assert conv_coeff(f, s, -2) == one  # f_0 s_-2 alone
+    assert conv_coeff(f, s, -3) == zero  # i <= -n reads nothing
+    assert conv_coeff(f, Seq(dom, []), 0) == zero
+    assert conv_coeff(Poly.zero(dom), s, 0) == zero
+    assert discrepancy(Poly.zero(dom), s) == zero
+    assert discrepancy(f, Seq(dom, [])) == zero
+    assert dot(dom, [], []) == zero
 
 
 def test_annihilator_window():

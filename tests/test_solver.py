@@ -144,6 +144,53 @@ def test_steps_are_pure():
     assert st1.k == 1 and st2.k == 2
 
 
+def test_retained_state_keeps_its_own_history():
+    terms = [0, 1, 1, 0, 0, 1, 0, 1]
+    sts = run_trace(F2, terms)
+    mid = sts[3]  # retained while the run goes on to k = 8
+    assert mid.k == 4
+    assert mid.seq == Seq(F2, terms[:4])
+    assert mid.profile == (0, 2, 2, 2)
+    assert sts[-1].profile == (0, 2, 2, 2, 3, 3, 4, 4)
+    for k, st_ in enumerate(sts, 1):
+        assert st_.k == k and st_.seq.terms == terms[:k]
+        assert st_.profile == sts[-1].profile[:k]
+
+
+def test_stepping_a_retained_state_twice_branches():
+    base = run_trace(F2, [1, 0, 1])[-1]
+    left = solver_step(base, 1)
+    right = solver_step(base, 0)
+    left2 = solver_step(left, 1)
+    right2 = solver_step(right, 1)
+    assert base.seq.terms == [1, 0, 1] and base.k == 3
+    assert left2.seq.terms == [1, 0, 1, 1, 1]
+    assert right2.seq.terms == [1, 0, 1, 0, 1]
+    assert left.seq.terms == [1, 0, 1, 1]
+    assert right.seq.terms == [1, 0, 1, 0]
+    for st_ in (left2, right2):
+        again = minimal_solution(st_.seq)
+        assert st_.mu1 == again.mu1 and st_.mu2 == again.mu2
+        assert st_.profile == again.profile
+    assert left2.profile != right2.profile
+
+
+def test_a_solve_constructs_o1_seq_objects(monkeypatch):
+    calls = [0]
+    init = Seq.__init__
+
+    def counting_init(self, dom, terms):
+        calls[0] += 1
+        init(self, dom, terms)
+
+    monkeypatch.setattr(Seq, "__init__", counting_init)
+    s = Seq(F2, ([0, 0, 1, 0, 1, 1, 1] * 715)[:5000])  # x^3 + x + 1 m-sequence
+    calls[0] = 0
+    st_ = minimal_solution(s, with_numerator=False)
+    assert st_.k == 5000 and st_.lc == 3
+    assert calls[0] <= 2
+
+
 def test_normalized_matches_plain_over_gf2():
     rng = random.Random(7)
     for _ in range(50):
