@@ -143,7 +143,7 @@ def cf_expand_prefix(s):
     jumps = 0
     for t in s.terms:
         nxt = solver_step(prev, t)
-        if nxt.mu1.degree > prev.mu1.degree:
+        if nxt.lc > prev.lc:
             jumps += 1
             if jumps >= 2:
                 convergents.append(prev.mu)

@@ -69,7 +69,11 @@ class SolutionPair(NamedTuple):
 
 
 def dot(dom, coeffs, terms):
-    """sum c*u over zip(coeffs, terms): the one convolution kernel."""
+    """sum c*u over zip(coeffs, terms): the convolution kernel.
+
+    Every convolution coefficient goes through here, except the solver's
+    discrepancy over GF(2), which is a parity of packed bits (see solver).
+    """
     add, mul, zero = dom.add, dom.mul, dom.zero
     acc = zero
     for c, u in zip(coeffs, terms):

@@ -15,16 +15,25 @@ never changes what its input reports, so partial states can be retained
 state again branches: the new state copies the history below k once and
 appends to that copy.
 
+Over GF(2) (any GF2 instance, chosen in solver_init) a state packs the
+terms consumed and each of mu1, mu2, mup1 and mup2 into one int, bit i
+holding s_{-i} or the coefficient of x^i: the discrepancy is the parity of
+mu1 AND the term window, the update is (mu << i) ^ (mu' << j), and a
+retained state branches for free. The public mu1..mup2 build a Poly when
+read; lc and the profile come from bit lengths. Every other domain keeps
+Poly coefficient lists, the reference path (Poly.sub_scaled, genfn.dot).
+
 mul_count tallies domain multiplications the way the cost bounds are stated:
 one per coefficient slot touched by a scalar product (zero slots included,
 i.e. dense), one per division, nothing for additions. Discrepancies cost
 |mu1| + 1 each; an update costs the coefficient length of every polynomial
 actually rescaled, which is where the normalised variant saves a factor.
+The packed GF(2) path counts the same dense slots, from bit lengths.
 """
 
 from typing import NamedTuple, Optional
 
-from .domains import require_field
+from .domains import GF2, require_field
 from .errors import InvariantViolation, MinseqError
 from .genfn import Seq, SolutionPair, dot
 from .poly import Poly
@@ -43,12 +52,13 @@ class SolverState:
     __slots__ = (
         "dom",
         "k",
+        "_packed",
         "_terms",
         "_lcs",
-        "mu1",
-        "mu2",
-        "mup1",
-        "mup2",
+        "_mu1",
+        "_mu2",
+        "_mup1",
+        "_mup2",
         "deltaP",
         "e",
         "nabla",
@@ -61,6 +71,8 @@ class SolverState:
     @property
     def seq(self):
         """The k terms consumed, read from the run's history."""
+        if self._packed:
+            return Seq(self.dom, _bits(self._terms, self.k))
         return Seq(self.dom, self._terms[:self.k])
 
     @property
@@ -68,9 +80,20 @@ class SolverState:
         """LC after each of the k steps, read from the run's history."""
         return tuple(self._lcs[:self.k])
 
+    def _poly(self, p):
+        """A stored polynomial as a Poly (unpacked here over GF(2))."""
+        if self._packed and p is not None:
+            return Poly(self.dom, _bits(p))
+        return p
+
+    mu1 = property(lambda self: self._poly(self._mu1))
+    mu2 = property(lambda self: self._poly(self._mu2))
+    mup1 = property(lambda self: self._poly(self._mup1))
+    mup2 = property(lambda self: self._poly(self._mup2))
+
     @property
     def lc(self):
-        return len(self.mu1.coeffs) - 1
+        return _length(self._packed, self._mu1) - 1
 
     @property
     def mu(self):
@@ -101,21 +124,19 @@ def solver_init(dom, normalized=False, with_numerator=True, massey=False):
     """
     if normalized:
         require_field(dom)
+    packed = isinstance(dom, GF2)
+    one, zero, minus_one = (1, 0, 1) if packed else (
+        Poly.one(dom), Poly.zero(dom), Poly(dom, [dom.neg(dom.one)]))
     st = SolverState.__new__(SolverState)
     st.dom = dom
     st.k = 0
-    st._terms = []
+    st._packed = packed
+    st._terms = 0 if packed else []
     st._lcs = []
-    st.mu1 = Poly.one(dom)
-    st.mu2 = Poly.zero(dom) if with_numerator else None
-    if massey:
-        st.mup1 = Poly.one(dom)
-        st.mup2 = Poly.zero(dom) if with_numerator else None
-    else:
-        st.mup1 = Poly.zero(dom)
-        st.mup2 = (
-            Poly(dom, [dom.neg(dom.one)]) if with_numerator else None
-        )
+    st._mu1 = one
+    st._mu2 = zero if with_numerator else None
+    st._mup1 = one if massey else zero
+    st._mup2 = (zero if massey else minus_one) if with_numerator else None
     st.deltaP = dom.one
     st.e = 1
     st.nabla = dom.one
@@ -126,9 +147,31 @@ def solver_init(dom, normalized=False, with_numerator=True, massey=False):
     return st
 
 
-def _update_muls(a, f, g):
+_TO_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask, n=0):
+    """The bits of mask, lowest first, padded with zeros to length n."""
+    bits = list(bin(mask)[:1:-1].encode().translate(_TO_BIT)) if mask else []
+    bits += [0] * (n - len(bits))
+    return bits
+
+
+def _length(packed, p):
+    """Coefficient slots of a stored polynomial: |p| + 1, 0 for zero."""
+    return p.bit_length() if packed else len(p.coeffs)
+
+
+def _update(packed, a, i, f, b, j, g):
+    """a*x^i*f - b*x^j*g; packed (GF(2), a and b 1 or None), an XOR."""
+    if packed:
+        return (f << i) ^ (g << j)
+    return f.sub_scaled(a, i, g, b, j)
+
+
+def _update_muls(packed, a, f, g):
     """Products in a*x^i*f - b*x^j*g: the length of each rescaled factor."""
-    return len(g.coeffs) + (0 if a is None else len(f.coeffs))
+    return _length(packed, g) + (0 if a is None else _length(packed, f))
 
 
 def solver_step(state, next_term):
@@ -142,18 +185,29 @@ def solver_step(state, next_term):
     """
     dom = state.dom
     k = state.k
-    terms, lcs = state._terms, state._lcs
-    if len(terms) != k:  # a retained state: branch off its own history
-        terms, lcs = terms[:k], lcs[:k]
-    terms.append(next_term)
+    packed = state._packed
+    lcs = state._lcs
+    mu1 = state._mu1
+    if packed:
+        terms = state._terms | (next_term << k)
+        n1 = mu1.bit_length()
+        # the parity of mu1 AND the window of the last |mu1| + 1 terms
+        delta = ((terms >> (k + 1 - n1)) & mu1).bit_count() & 1
+    else:
+        terms = state._terms
+        if len(terms) != k:  # a retained state: branch off its own history
+            terms, lcs = terms[:k], lcs[:k]
+        terms.append(next_term)
+        n1 = len(mu1.coeffs)
+        # the coefficient of x^(|mu1| - k) in mu1 * genfn of the k + 1 terms
+        delta = dot(dom, mu1.coeffs, terms[k + 1 - n1:])
+    if len(lcs) != k:  # a retained packed state: branch off its profile
+        lcs = lcs[:k]
     new = state._copy()
     new.k = k + 1
     new._terms, new._lcs = terms, lcs
-    mu1 = state.mu1
-    # the coefficient of x^(|mu1| - k) in mu1 * genfn of the k + 1 terms
-    delta = dot(dom, mu1.coeffs, terms[k + 1 - len(mu1.coeffs):])
     new.last_delta = delta
-    muls = len(mu1.coeffs)  # |mu1| + 1 products for the discrepancy
+    muls = n1  # |mu1| + 1 products for the discrepancy
 
     if delta != dom.zero:
         e = state.e
@@ -163,16 +217,16 @@ def solver_step(state, next_term):
         else:
             a, b = state.deltaP, delta
         i, j = max(e, 0), max(-e, 0)
-        new.mu1 = mu1.sub_scaled(a, i, state.mup1, b, j)
-        muls += _update_muls(a, mu1, state.mup1)
+        new._mu1 = _update(packed, a, i, mu1, b, j, state._mup1)
+        muls += _update_muls(packed, a, mu1, state._mup1)
         if state.with_numerator:
-            new.mu2 = state.mu2.sub_scaled(a, i, state.mup2, b, j)
-            muls += _update_muls(a, state.mu2, state.mup2)
+            new._mu2 = _update(packed, a, i, state._mu2, b, j, state._mup2)
+            muls += _update_muls(packed, a, state._mu2, state._mup2)
         # the determinant picks up b at a jump (mu moves into mu') and a
         # otherwise (mu' stays put)
         factor = a
         if e >= 1:
-            new.mup1, new.mup2 = mu1, state.mu2
+            new._mup1, new._mup2 = mu1, state._mu2
             new.deltaP = delta
             new.e = -e
             factor = b
@@ -181,7 +235,7 @@ def solver_step(state, next_term):
         muls += 1
 
     new.e += 1
-    lc = new.mu1.degree
+    lc = _length(packed, new._mu1) - 1
     lcs.append(lc)
     new.mul_count = state.mul_count + muls
     if new.e != new.k + 1 - 2 * lc:

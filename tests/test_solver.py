@@ -1,5 +1,7 @@
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +191,138 @@ def test_a_solve_constructs_o1_seq_objects(monkeypatch):
     st_ = minimal_solution(s, with_numerator=False)
     assert st_.k == 5000 and st_.lc == 3
     assert calls[0] <= 2
+
+
+def _fields(st_):
+    """Every field a state reports, polynomials as coefficient lists."""
+    polys = [None if p is None else p.coeffs
+             for p in (st_.mu1, st_.mu2, st_.mup1, st_.mup2)]
+    return (polys, st_.deltaP, st_.e, st_.nabla, st_.profile, st_.mul_count,
+            st_.last_delta, st_.k, st_.seq.terms, st_.lc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 1]), min_size=1, max_size=60),
+    st.integers(0, 59),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([GF2(), parse_domain("gf2")]),
+)
+def test_packed_gf2_matches_the_list_path(
+    terms, fork, normalized, massey, with_numerator, dom
+):
+    # gfp:2 runs the coefficient-list path on the same 0/1 terms
+    kw = dict(normalized=normalized, massey=massey,
+              with_numerator=with_numerator)
+    runs = [[solver_init(d, **kw)] for d in (dom, PrimeField(2))]
+    for t in terms:
+        for run in runs:
+            run.append(solver_step(run[-1], t))
+        assert _fields(runs[0][-1]) == _fields(runs[1][-1])
+    final = _fields(runs[0][-1])
+    # a retained state stepped again with the other term branches off
+    k = fork % len(terms)
+    flip = [1 - terms[k]] + terms[k + 1:]
+    branches = [run[k] for run in runs]
+    for t in flip:
+        branches = [solver_step(b, t) for b in branches]
+        assert _fields(branches[0]) == _fields(branches[1])
+    assert branches[0].seq.terms == terms[:k] + flip
+    for run in runs:
+        assert _fields(run[-1]) == final
+        assert _fields(solver_step(run[k], terms[k])) == _fields(run[k + 1])
+
+
+@pytest.mark.parametrize(
+    "dom", [GF2(), parse_domain("gf2")], ids=["GF2()", "parse_domain"]
+)
+def test_gf2_runs_call_no_list_kernel(monkeypatch, dom):
+    def refuse(*args):
+        raise AssertionError("a GF(2) run reached a coefficient-list kernel")
+
+    monkeypatch.setattr("minseq.solver.dot", refuse)
+    monkeypatch.setattr(Poly, "sub_scaled", refuse)
+    rng = random.Random(19)
+    s = Seq(dom, [rng.randrange(2) for _ in range(2000)])
+    for normalized in (False, True):
+        st_ = minimal_solution(s, normalized=normalized)
+        assert st_.k == 2000 and st_.lc == st_.profile[-1] > 900
+
+
+@pytest.fixture
+def referee(monkeypatch):
+    """perfbench's referee: Berlekamp-Massey sharing no code with minseq."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench")
+    )
+    return importlib.import_module("referee")
+
+
+def _lfsr_terms(rng, stages, n):
+    taps = [rng.randrange(2) for _ in range(stages - 1)] + [1]
+    out = [rng.randrange(2) for _ in range(stages)]
+    while len(out) < n:
+        out.append(sum(c & u for c, u in zip(taps, out[-stages:])) & 1)
+    return out
+
+
+def test_long_gf2_runs_pass_the_referee(referee):
+    rng = random.Random(29)
+    cases = [
+        ([rng.randrange(2) for _ in range(2000)], (False, True)),
+        (_lfsr_terms(rng, 64, 5000), (False,)),
+    ]
+    for terms, modes in cases:
+        s = Seq(F2, terms)
+        for normalized in modes:
+            st_ = minimal_solution(s, normalized=normalized)
+            out = {"profile": st_.profile, "nabla": st_.nabla}
+            for name in ("mu1", "mu2", "mup1", "mup2"):
+                out[name] = getattr(st_, name).coeffs
+            assert referee.check_solution("gf2", terms, out) == []
+        assert referee.check_profile("gf2", terms, lc_profile(s)) == []
+    assert st_.lc <= 64
+
+
+def _massey_lc(c, terms, p):
+    """Least L >= deg C for which C(x) generates terms: Massey's LC."""
+    d = len(c) - 1
+    for L in range(d, len(terms) + 1):
+        if all(
+            sum(c[i] * terms[n - i] for i in range(d + 1)) % p == 0
+            for n in range(L, len(terms))
+        ):
+            return L
+
+
+@pytest.mark.parametrize("spec,p", [("gf2", 2), ("gfp:7", 7)])
+def test_lc_and_mu1_match_sympy_lfsr_synthesis(spec, p):
+    crypto = pytest.importorskip("sympy.crypto.crypto")
+    from sympy import Poly as SymPoly, symbols
+    from sympy.polys.domains import FF
+
+    x = symbols("x")
+    dom = parse_domain(spec)
+    rng = random.Random(31)
+    for n in (1, 2, 5, 9, 16, 23, 32, 40):
+        terms = [rng.randrange(p) for _ in range(n)]
+        terms[rng.randrange(n)] = 1  # sympy needs a nonzero term
+        C = crypto.lfsr_connection_polynomial([FF(p)(t) for t in terms])
+        c = [int(v) % p
+             for v in reversed(SymPoly(C, x, modulus=p).all_coeffs())]
+        lc = _massey_lc(c, terms, p)
+        # monic mu1 is x^(LC - deg C) times the reciprocal of C (C(0) = 1)
+        assert c[0] == 1
+        expected = [0] * (lc + 1 - len(c)) + c[::-1]
+        for massey in (False, True):
+            st_ = minimal_solution(Seq(dom, terms), massey=massey)
+            assert st_.lc == lc, (terms, massey)
+            mu1 = st_.mu1.coeffs
+            if massey or n >= 2 * lc:  # otherwise mu1 need not be unique
+                inv = pow(mu1[-1], p - 2, p)
+                assert [v * inv % p for v in mu1] == expected, (terms, massey)
 
 
 def test_normalized_matches_plain_over_gf2():
