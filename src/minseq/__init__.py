@@ -67,6 +67,7 @@ from .solver import (
     lc_profile,
     minimal_solution,
     solver_init,
+    solver_states,
     solver_step,
 )
 
@@ -121,5 +122,6 @@ __all__ = [
     "poly_gcd",
     "poly_monicize",
     "solver_init",
+    "solver_states",
     "solver_step",
 ]

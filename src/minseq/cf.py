@@ -16,6 +16,7 @@ the length-n prefix exactly when n lies in [n_i, n_{i+1}).
 """
 
 from bisect import bisect_right
+from itertools import pairwise
 from typing import NamedTuple, Optional
 
 from .domains import Domain, require_field
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .genfn import Seq, SolutionPair
 from .poly import Poly, poly_gcd
-from .solver import minimal_solution, solver_init, solver_step
+from .solver import minimal_solution, solver_states
 
 
 class RationalFn:
@@ -51,25 +52,13 @@ class RationalFn:
 
     def prefix(self, n):
         """The first n series terms of x*num/den (s_0 first)."""
-        dom = self.dom
         if not self.num.is_zero and self.num.degree >= self.den.degree:
             raise PositiveValuation(
                 "numerator degree must be below denominator degree"
             )
-        dd = self.den.degree
-        inv_lc = dom.inv(self.den.coeffs[-1])
-        # remainder of degree < dd; multiplying by x exposes one series term
-        rem = list(self.num.coeffs) + [dom.zero] * (dd - len(self.num.coeffs))
-        terms = []
-        for _ in range(n):
-            rem.insert(0, dom.zero)  # multiply by x
-            top = rem.pop()
-            t = dom.mul(top, inv_lc)
-            if t != dom.zero:
-                for j, c in enumerate(self.den.coeffs[:-1]):
-                    rem[j] = dom.sub(rem[j], dom.mul(t, c))
-            terms.append(t)
-        return Seq(dom, terms)
+        # the quotient of x^n*num by den is s_{1-n} ... s_0, high zeros trimmed
+        q = divmod(self.num.shift(n), self.den)[0].coeffs
+        return Seq(self.dom, [self.dom.zero] * (n - len(q)) + q[::-1])
 
     def __repr__(self):
         return f"RationalFn(({self.num}) / ({self.den}))"
@@ -136,21 +125,15 @@ def cf_expand_prefix(s):
     q^(i) once more terms arrive.
     """
     dom = s.dom
-    require_field(dom)
     convergents = [SolutionPair(Poly.one(dom), Poly.zero(dom))]
     partition = []
-    prev = solver_init(dom, normalized=True)
-    jumps = 0
-    for t in s.terms:
-        nxt = solver_step(prev, t)
+    for prev, nxt in pairwise(solver_states(s, normalized=True)):
         if nxt.lc > prev.lc:
-            jumps += 1
-            if jumps >= 2:
+            if partition:
                 convergents.append(prev.mu)
             partition.append(nxt.k)
-        prev = nxt
-    if jumps >= 1:
-        convergents.append(prev.mu)
+    if partition:
+        convergents.append(nxt.mu)
     return CFExpansion(
         dom,
         "prefix",

@@ -9,16 +9,17 @@ Exit codes: 0 ok, 2 bad input or a MinseqError, 3 a violated invariant.
 import argparse
 import json
 import sys
+from itertools import pairwise
 
 from .cf import RationalFn, cf_expand_prefix, cf_expand_rational, lc_from_cf
-from .decomp import count_solutions, decompose, enumerate_solutions, minimal_system_of
+from .decomp import count_solutions, decompose, enumerate_solutions, minimal_system_of, pairing
 from .domains import BinaryExtField, RationalField, parse_domain
 from .errors import InvariantViolation, MinseqError
 from .genfn import Seq, SolutionPair, bracket_numerator
 from .nonvanish import nonvanishing_solution
 from .oracle import brute_annihilators, brute_lc, brute_lc_at
 from .poly import Poly
-from .solver import classify_profile, minimal_solution, solver_init, solver_step
+from .solver import classify_profile, minimal_solution, solver_states
 
 
 def build_parser():
@@ -233,49 +234,34 @@ def cmd_nonvanish(args, dom):
 
 def cmd_verify(args, dom):
     s = load_seq(args, dom)
-    checks = {
-        "determinant_identity": True,
-        "numerator_identity": True,
-        "jump_rule": True,
-        "step_counter": True,
-        "profile_mass": True,
-    }
-    st = solver_init(dom)
-    for t in s.terms:
-        prev = st
-        st = solver_step(st, t)
-        det = st.mu2 * st.mup1 - st.mu1 * st.mup2
-        if det != Poly(dom, [st.nabla]):
-            checks["determinant_identity"] = False
-        if st.mu2 != bracket_numerator(st.mu1, st.seq):
-            checks["numerator_identity"] = False
-        if st.last_delta != dom.zero:
-            if st.lc != max(prev.lc, st.k - prev.lc):
-                checks["jump_rule"] = False
-        elif st.lc != prev.lc:
-            checks["jump_rule"] = False
-        if st.e != st.k + 1 - 2 * st.lc:
-            checks["step_counter"] = False
-    n = st.k
-    if sum(st.profile) != st.lc * (n + 1 - st.lc):
-        checks["profile_mass"] = False
-    if 4 * sum(st.profile) > (n + 1) ** 2:
-        checks["profile_mass"] = False
-    if dom.is_field and n > 0:
-        checks["cf_agreement"] = True
+    # the solver itself raises InvariantViolation when e != k + 1 - 2*LC
+    checks = ["determinant_identity", "numerator_identity", "jump_rule",
+              "step_counter", "profile_mass"]
+    failed = set()
+    exp = None
+    if dom.is_field and len(s):
+        checks.append("cf_agreement")
         exp = cf_expand_prefix(s)
-        for i in range(1, len(s) + 1):
-            if lc_from_cf(exp, i) != st.profile[i - 1]:
-                checks["cf_agreement"] = False
-        for i in range(1, len(exp.convergents)):
-            det = (exp.convergents[i].f2 * exp.convergents[i - 1].f1
-                   - exp.convergents[i].f1 * exp.convergents[i - 1].f2)
-            if det.is_zero or det.degree != 0:
-                checks["cf_agreement"] = False
-    if not all(checks.values()):
-        bad = sorted(k for k, v in checks.items() if not v)
-        raise InvariantViolation(f"verify failed: {', '.join(bad)}")
-    return {"ok": True, "checks": checks}
+        # consecutive convergents pair to a nonzero constant
+        if any(pairing(b, a).degree != 0 for a, b in pairwise(exp.convergents)):
+            failed.add("cf_agreement")
+    for prev, st in pairwise(solver_states(s)):
+        k, lc = st.k, st.lc
+        if pairing(st.mu, st.muP) != Poly(dom, [st.nabla]):
+            failed.add("determinant_identity")
+        if st.mu2 != bracket_numerator(st.mu1, st.seq):
+            failed.add("numerator_identity")
+        jumped = st.last_delta != dom.zero
+        if lc != (max(prev.lc, k - prev.lc) if jumped else prev.lc):
+            failed.add("jump_rule")
+        sigma = sum(st.profile)
+        if sigma != lc * (k + 1 - lc) or 4 * sigma > (k + 1) ** 2:
+            failed.add("profile_mass")
+        if exp is not None and lc_from_cf(exp, k) != lc:
+            failed.add("cf_agreement")
+    if failed:
+        raise InvariantViolation(f"verify failed: {', '.join(sorted(failed))}")
+    return {"ok": True, "checks": dict.fromkeys(checks, True)}
 
 
 def cmd_oracle(args, dom):

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .decomp import _degree_at_most, _exact_degree
 from .domains import require_finite_field
 from .errors import InvariantViolation, MinseqError, MuDoesNotVanish
-from .genfn import SolutionPair, discrepancy
+from .genfn import SolutionPair
 from .poly import Poly
 from .solver import minimal_solution, solver_step
 
@@ -92,9 +92,9 @@ def nonvanishing_by_extension(s, a):
         raise MuDoesNotVanish(
             f"mu1 does not vanish at {dom.format(a)}"
         )
-    base = discrepancy(st.mu1, st.seq.extend(dom.zero))
-    t = dom.zero if base != dom.zero else dom.one
-    nxt = solver_step(st, t)
+    nxt = solver_step(st, dom.zero)
+    if nxt.last_delta == dom.zero:
+        nxt = solver_step(st, dom.one)
     nu1 = nxt.mu1
     if nu1.degree != st.lc + st.e or nu1(a) == dom.zero:
         raise InvariantViolation("extension step did not produce Min(s)^(a)")

@@ -6,14 +6,16 @@ last nonzero discrepancy deltaP, the branch counter e = k + 1 - 2*|mu1|, and
 the nonzero scalar nabla with mu2*muP1 - mu1*muP2 = nabla (the massey start
 has determinant 0, and nabla then only multiplies up the update factors).
 
-A run keeps its history once: one append-only list of the terms consumed
-and one of the LC after each step. Every state of the run holds k and
-references to both lists and reads only below k, so seq and profile are
-views, not copies. Steps are pure: solver_step returns a fresh state and
-never changes what its input reports, so partial states can be retained
-(the continued-fraction prefix mode does exactly that). Stepping a retained
-state again branches: the new state copies the history below k once and
-appends to that copy.
+A run is solver_states(s): the fresh state, then one state per term.
+minimal_solution keeps the last one; the continued-fraction prefix mode and
+the CLI's verify read the stream pair by pair. A run keeps its history once:
+one append-only list of the terms consumed and one of the LC after each
+step. Every state of the run holds k and references to both lists and reads
+only below k, so seq and profile are views, not copies. Steps are pure:
+solver_step returns a fresh state and never changes what its input reports,
+so partial states can be retained (each pair of the stream is two). Stepping
+a retained state again branches: the new state copies the history below k
+once and appends to that copy.
 
 Over GF(2) (any GF2 instance, chosen in solver_init) a state packs the
 terms consumed and each of mu1, mu2, mup1 and mup2 into one int, bit i
@@ -31,6 +33,8 @@ actually rescaled, which is where the normalised variant saves a factor.
 The packed GF(2) path counts the same dense slots, from bit lengths.
 """
 
+from collections import deque
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .domains import GF2, require_field
@@ -245,22 +249,25 @@ def solver_step(state, next_term):
     return new
 
 
+def solver_states(s, normalized=False, with_numerator=True, massey=False):
+    """The fresh state, then one state per term of s (see solver_init)."""
+    return accumulate(s.terms, solver_step, initial=solver_init(
+        s.dom, normalized=normalized, with_numerator=with_numerator,
+        massey=massey))
+
+
 def minimal_solution(s, normalized=False, with_numerator=True, massey=False):
-    """Fold solver_step over the whole sequence (see solver_init for flags)."""
+    """The last state of solver_states (see solver_init for flags)."""
     if len(s) < 1:
         raise MinseqError("need at least one term")
-    st = solver_init(s.dom, normalized=normalized,
-                     with_numerator=with_numerator, massey=massey)
-    for t in s.terms:
-        st = solver_step(st, t)
-    return st
+    states = solver_states(s, normalized=normalized,
+                           with_numerator=with_numerator, massey=massey)
+    return deque(states, maxlen=1)[0]
 
 
 def lc_profile(s):
     """LC(s_0...s_{1-k}) for k = 1..n."""
-    if len(s) == 0:
-        return []
-    st = minimal_solution(s, with_numerator=False)
+    st = deque(solver_states(s, with_numerator=False), maxlen=1)[0]
     return list(st.profile)
 
 

@@ -10,6 +10,7 @@ success (run with -s to see them); a failing assert is the FAIL line.
 import random
 import time
 from fractions import Fraction
+from itertools import pairwise
 
 from conftest import forced_int_terms
 
@@ -39,6 +40,7 @@ from minseq import (
     poly_monicize,
     pq_for_n,
     solver_init,
+    solver_states,
     solver_step,
 )
 from minseq.domains import IntegerRing, RationalField
@@ -175,18 +177,14 @@ def _eval_mod(f, r, p=_P61):
 
 
 def _identity_run(dom, terms, rng):
-    st = solver_init(dom)
-    prev_lc = 0
-    for t in terms:
-        st = solver_step(st, t)
+    for prev, st in pairwise(solver_states(Seq(dom, terms))):
         k, lc = st.k, st.lc
         # step counter and jump rule
         assert st.e == k + 1 - 2 * lc
         if st.last_delta != dom.zero:
-            assert lc == max(prev_lc, k - prev_lc)
+            assert lc == max(prev.lc, k - prev.lc)
         else:
-            assert lc == prev_lc
-        prev_lc = lc
+            assert lc == prev.lc
         # profile mass identity and its bound
         sigma = sum(st.profile)
         assert sigma == lc * (k + 1 - lc)
@@ -300,12 +298,10 @@ def test_criterion_7_cf_agrees_with_solver_on_rational_series():
             num = Poly(F3, [rng.randrange(3) for _ in range(nd)] + [rng.randint(1, 2)])
         S = RationalFn(num, den)
         exp = cf_expand_rational(S)
-        st = solver_init(F3)
-        for i, t in enumerate(S.prefix(12).terms, start=1):
-            st = solver_step(st, t)
-            assert lc_from_cf(exp, i) == st.lc
+        for _, st in pairwise(solver_states(S.prefix(12))):
+            assert lc_from_cf(exp, st.k) == st.lc
             if st.e > 0:  # unique minimal class: the convergent must match
-                _, q, _ = pq_for_n(exp, i)
+                _, q, _ = pq_for_n(exp, st.k)
                 assert poly_monicize(q.f1) == poly_monicize(st.mu1)
     _pass(7)
 

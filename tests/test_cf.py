@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,52 @@ def test_rational_fn_prefix_series():
     assert S.prefix(6).terms == [1, 2, 4, 3, 1, 2]
     with pytest.raises(PositiveValuation):
         RationalFn(Poly(F3, [0, 1]), Poly(F3, [1, 1])).prefix(3)
+
+
+def _prefix_term_by_term(S, n):
+    """Reference series division: multiply the remainder by x, read one term."""
+    dom = S.dom
+    inv_lc = dom.inv(S.den.coeffs[-1])
+    rem = list(S.num.coeffs) + [dom.zero] * (S.den.degree - len(S.num.coeffs))
+    terms = []
+    for _ in range(n):
+        rem.insert(0, dom.zero)
+        t = dom.mul(rem.pop(), inv_lc)
+        if t != dom.zero:
+            for j, c in enumerate(S.den.coeffs[:-1]):
+                rem[j] = dom.sub(rem[j], dom.mul(t, c))
+        terms.append(t)
+    return terms
+
+
+@pytest.mark.parametrize("spec", ["gf2", "gfp:3", "gf2m:4:0x13", "rat"])
+def test_rational_fn_prefix_matches_term_by_term_division(spec):
+    dom = parse_domain(spec)
+    rng = random.Random(spec)
+    if dom.is_finite:
+        els = list(dom.elements())
+        elem = lambda: rng.choice(els)  # noqa: E731
+    else:
+        elem = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # noqa: E731
+
+    def poly(degree):
+        top = dom.zero
+        while top == dom.zero:
+            top = elem()
+        return Poly(dom, [elem() for _ in range(degree)] + [top])
+
+    seen = {"s_0 = 0": 0, "zero numerator": 0, "n = 0": 0}
+    for _ in range(400):
+        den = poly(rng.randint(1, 6))
+        nd = rng.randint(-1, den.degree - 1)
+        S = RationalFn(poly(nd) if nd >= 0 else Poly.zero(dom), den)
+        n = rng.randint(0, 24)
+        want = _prefix_term_by_term(S, n)
+        assert S.prefix(n).terms == want
+        seen["s_0 = 0"] += bool(want) and want[0] == dom.zero
+        seen["zero numerator"] += S.num.is_zero
+        seen["n = 0"] += n == 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_worked_gf16_expansion():

@@ -146,6 +146,28 @@ def test_verify_record():
     assert out["ok"] is True
 
 
+@pytest.mark.parametrize("terms", ["", "   "])
+@pytest.mark.parametrize("field", ["gf2", "gfp:7", "int", "rat"])
+def test_verify_empty_input(field, terms):
+    """No terms, no steps: the five checks hold and cf_agreement is absent."""
+    out = run_json(["verify", "--field", field, "--terms", terms])
+    assert out == {"ok": True, "checks": dict.fromkeys(
+        ["determinant_identity", "numerator_identity", "jump_rule",
+         "step_counter", "profile_mass"], True)}
+
+
+@pytest.mark.parametrize("field", ["gf2", "gfp:7", "int"])
+def test_corrupted_step_makes_verify_exit_3(monkeypatch, capsys, field):
+    """An LC off by one breaks e = k + 1 - 2*LC, which the solver enforces."""
+    import minseq.solver as solver
+
+    length = solver._length
+    monkeypatch.setattr(solver, "_length", lambda packed, p: length(packed, p) + 1)
+    assert run(["verify", "--field", field, "--terms", "1 0 1 1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: e = ") and "k + 1 - 2|mu1|" in err
+
+
 def test_oracle_subcommands():
     out = run_json(["oracle", "profile", "--field", "gf2", "--terms", TABLE])
     assert out["lc"] == 4
@@ -245,7 +267,7 @@ FUZZ_LITERALS = st.sampled_from(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    cmd=st.sampled_from(["solve", "profile", "cf", "cf-rational", "nonvanish"]),
+    cmd=st.sampled_from(["solve", "profile", "cf", "cf-rational", "nonvanish", "verify"]),
     field=st.sampled_from(FUZZ_FIELDS),
     tokens=st.lists(FUZZ_LITERALS, max_size=8),
     at=FUZZ_LITERALS,

@@ -1,6 +1,7 @@
 import importlib
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from minseq.solver import (
     lc_profile,
     minimal_solution,
     solver_init,
+    solver_states,
     solver_step,
 )
 
@@ -199,6 +201,23 @@ def _fields(st_):
              for p in (st_.mu1, st_.mu2, st_.mup1, st_.mup2)]
     return (polys, st_.deltaP, st_.e, st_.nabla, st_.profile, st_.mul_count,
             st_.last_delta, st_.k, st_.seq.terms, st_.lc)
+
+
+@pytest.mark.parametrize("dom", [F2, PrimeField(7)], ids=["gf2", "gfp:7"])
+def test_solver_states_is_the_step_loop(dom):
+    """The fresh state, then field for field the states of the step loop."""
+    rng = random.Random(31)
+    els = list(dom.elements())
+    for normalized, massey, with_numerator in product((False, True), repeat=3):
+        kw = dict(normalized=normalized, massey=massey,
+                  with_numerator=with_numerator)
+        fresh = [_fields(solver_init(dom, **kw))]
+        assert [_fields(s) for s in solver_states(Seq(dom, []), **kw)] == fresh
+        for n, zeros in ((1, 0.0), (9, 0.5), (40, 0.0), (40, 0.9)):
+            terms = [0 if rng.random() < zeros else rng.choice(els)
+                     for _ in range(n)]
+            got = [_fields(s) for s in solver_states(Seq(dom, terms), **kw)]
+            assert got == fresh + [_fields(s) for s in run_trace(dom, terms, **kw)]
 
 
 @settings(max_examples=150, deadline=None)
