@@ -8,6 +8,7 @@ Exit codes: 0 ok, 2 bad input or a MinseqError, 3 a violated invariant.
 
 import argparse
 import json
+import re
 import sys
 from itertools import pairwise
 
@@ -301,10 +302,29 @@ COMMANDS = {
 }
 
 
+# a negative literal that argparse's own negative-number check misses
+_NEGATIVE_LITERAL = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_values(argv):
+    """--opt -1/2 as --opt=-1/2: argparse reads a lone -1/2 as an option."""
+    out = []
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            return out + list(argv[i:])
+        prev = out[-1] if out else ""
+        if (_NEGATIVE_LITERAL.match(tok) and prev.startswith("--")
+                and "=" not in prev):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run(argv):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as ex:
         return ex.code if isinstance(ex.code, int) else 2
     try:

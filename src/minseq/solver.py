@@ -17,27 +17,40 @@ so partial states can be retained (each pair of the stream is two). Stepping
 a retained state again branches: the new state copies the history below k
 once and appends to that copy.
 
-Over GF(2) (any GF2 instance, chosen in solver_init) a state packs the
-terms consumed and each of mu1, mu2, mup1 and mup2 into one int, bit i
-holding s_{-i} or the coefficient of x^i: the discrepancy is the parity of
-mu1 AND the term window, the update is (mu << i) ^ (mu' << j), and a
-retained state branches for free. The public mu1..mup2 build a Poly when
-read; lc and the profile come from bit lengths. Every other domain keeps
-Poly coefficient lists, the reference path (Poly.sub_scaled, genfn.dot).
+solver_init picks one of three kernels for the run, and solver_step has
+no branch on the domain. A kernel stores the terms and mu1, mu2, mup1,
+mup2, and computes the discrepancy and the update from them:
+- coefficient lists (every other domain): Poly objects, Poly.sub_scaled
+  and genfn.dot, the reference path;
+- GF(2) bits (any GF2 instance): the terms and each polynomial packed
+  into one int, bit i holding s_{-i} or the coefficient of x^i; the
+  discrepancy is the parity of mu1 AND the term window, the update
+  (mu << i) ^ (mu' << j);
+- rat scaled ints (any RationalField instance): each polynomial is a
+  denominator and a list of integer numerators in lowest terms, the terms
+  are integers over the lcm T of their denominators; the discrepancy is
+  one integer dot product over den*T, the update one integer combination
+  with the content (the gcd of den and the numerators) divided out.
+The public mu1..mup2 and seq build Polys and terms when read, so GF(2)
+bits and Fractions appear only at output; lc and the profile come from
+lengths, and deltaP, nabla and last_delta are domain elements.
 
 mul_count tallies domain multiplications the way the cost bounds are stated:
 one per coefficient slot touched by a scalar product (zero slots included,
 i.e. dense), one per division, nothing for additions. Discrepancies cost
 |mu1| + 1 each; an update costs the coefficient length of every polynomial
 actually rescaled, which is where the normalised variant saves a factor.
-The packed GF(2) path counts the same dense slots, from bit lengths.
+Every kernel counts the same dense slots, from its lengths.
 """
 
 from collections import deque
+from fractions import Fraction
 from itertools import accumulate
+from math import gcd
+from operator import mul, sub
 from typing import NamedTuple, Optional
 
-from .domains import GF2, require_field
+from .domains import GF2, RationalField, require_field
 from .errors import InvariantViolation, MinseqError
 from .genfn import Seq, SolutionPair, dot
 from .poly import Poly
@@ -56,7 +69,7 @@ class SolverState:
     __slots__ = (
         "dom",
         "k",
-        "_packed",
+        "_kernel",
         "_terms",
         "_lcs",
         "_mu1",
@@ -75,9 +88,7 @@ class SolverState:
     @property
     def seq(self):
         """The k terms consumed, read from the run's history."""
-        if self._packed:
-            return Seq(self.dom, _bits(self._terms, self.k))
-        return Seq(self.dom, self._terms[:self.k])
+        return Seq(self.dom, self._kernel.terms(self._terms, self.k))
 
     @property
     def profile(self):
@@ -85,10 +96,8 @@ class SolverState:
         return tuple(self._lcs[:self.k])
 
     def _poly(self, p):
-        """A stored polynomial as a Poly (unpacked here over GF(2))."""
-        if self._packed and p is not None:
-            return Poly(self.dom, _bits(p))
-        return p
+        """A stored polynomial as a Poly, built here by the run's kernel."""
+        return None if p is None else self._kernel.poly(self.dom, p)
 
     mu1 = property(lambda self: self._poly(self._mu1))
     mu2 = property(lambda self: self._poly(self._mu2))
@@ -97,7 +106,7 @@ class SolverState:
 
     @property
     def lc(self):
-        return _length(self._packed, self._mu1) - 1
+        return self._kernel.length(self._mu1) - 1
 
     @property
     def mu(self):
@@ -109,8 +118,16 @@ class SolverState:
 
     def _copy(self):
         new = SolverState.__new__(SolverState)
-        for name in SolverState.__slots__:
-            setattr(new, name, getattr(self, name))
+        # spelled out: a getattr/setattr loop over __slots__ took half the
+        # time of a GF(2) step
+        new.dom, new.k, new._kernel = self.dom, self.k, self._kernel
+        new._terms, new._lcs = self._terms, self._lcs
+        new._mu1, new._mu2 = self._mu1, self._mu2
+        new._mup1, new._mup2 = self._mup1, self._mup2
+        new.deltaP, new.e, new.nabla = self.deltaP, self.e, self.nabla
+        new.mul_count, new.last_delta = self.mul_count, self.last_delta
+        new.normalized = self.normalized
+        new.with_numerator = self.with_numerator
         return new
 
     def __repr__(self):
@@ -118,6 +135,145 @@ class SolverState:
             f"SolverState(k={self.k}, mu1={self.mu1}, mu2={self.mu2}, "
             f"e={self.e}, nabla={self.dom.format(self.nabla)})"
         )
+
+
+# A kernel is how a run stores its terms and polynomials. push appends the
+# next term after the k consumed (branching off a shared history) and
+# returns the new store, the discrepancy of mu1 and |mu1| + 1; update is
+# a*x^i*f - b*x^j*g; length is |p| + 1 (0 for zero); poly and terms build
+# the public Poly and term list when read.
+
+class _Coeffs:
+    """Poly coefficient lists: the reference path, for any domain."""
+
+    def start(self, dom):
+        return [], Poly.one(dom), Poly.zero(dom), Poly(dom, [dom.neg(dom.one)])
+
+    def push(self, dom, store, k, t, mu1):
+        terms = store
+        if len(terms) != k:  # a retained state: branch off its own history
+            terms = terms[:k]
+        terms.append(t)
+        n1 = len(mu1.coeffs)
+        # the coefficient of x^(|mu1| - k) in mu1 * genfn of the k + 1 terms
+        return terms, dot(dom, mu1.coeffs, terms[k + 1 - n1:]), n1
+
+    def update(self, a, i, f, b, j, g):
+        return f.sub_scaled(a, i, g, b, j)
+
+    def length(self, p):
+        return len(p.coeffs)
+
+    def poly(self, dom, p):
+        return p
+
+    def terms(self, store, k):
+        return store[:k]
+
+
+_TO_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(mask, n=0):
+    """The bits of mask, lowest first, padded with zeros to length n."""
+    bits = list(bin(mask)[:1:-1].encode().translate(_TO_BIT)) if mask else []
+    bits += [0] * (n - len(bits))
+    return bits
+
+
+class _GF2Bits:
+    """GF(2): terms and polynomials packed into ints, bit i for s_{-i} or x^i."""
+
+    def start(self, dom):
+        return 0, 1, 0, 1
+
+    def push(self, dom, store, k, t, mu1):
+        terms = store | (t << k)
+        n1 = mu1.bit_length()
+        # the parity of mu1 AND the window of the last |mu1| + 1 terms
+        return terms, ((terms >> (k + 1 - n1)) & mu1).bit_count() & 1, n1
+
+    def update(self, a, i, f, b, j, g):
+        return (f << i) ^ (g << j)  # a and b are 1 or None
+
+    def length(self, p):
+        return p.bit_length()
+
+    def poly(self, dom, p):
+        return Poly(dom, _bits(p))
+
+    def terms(self, store, k):
+        return _bits(store, k)
+
+
+class _RatScaled:
+    """Q: integer numerators over one shared denominator.
+
+    A polynomial is (den, numerators) in lowest terms, (1, []) for zero;
+    the terms are (T, numerators) with T the lcm of their denominators.
+    """
+
+    def start(self, dom):
+        return (1, []), (1, [1]), (1, []), (1, [-1])
+
+    def push(self, dom, store, k, t, mu1):
+        T, nums = store
+        if len(nums) != k:  # a retained state: branch off its own history
+            nums = nums[:k]
+            store = T, nums
+        q = t.denominator
+        if T % q:  # a new list: retained states still read the old one
+            m = q // gcd(T, q)
+            T *= m
+            nums = [u * m for u in nums]
+            store = T, nums
+        nums.append(t.numerator * (T // q))
+        den, coeffs = mu1
+        n1 = len(coeffs)
+        acc = sum(map(mul, coeffs, nums[k + 1 - n1:]))
+        return store, Fraction(acc, den * T), n1
+
+    def update(self, a, i, f, b, j, g):
+        """With a = pa/qa, b = pb/qb and L = lcm(df, dg): the numerators
+        pa*qb*(L/df)*x^i*nf - pb*qa*(L/dg)*x^j*ng over qa*qb*L, reduced.
+        """
+        (df, nf), (dg, ng) = f, g
+        pa, qa = (1, 1) if a is None else (a.numerator, a.denominator)
+        h = gcd(df, dg)
+        cf = pa * b.denominator * (dg // h)
+        cg = b.numerator * qa * (df // h)
+        den = qa * b.denominator * df * (dg // h)
+        # a common factor of the scales comes out before the products:
+        # leaving it to the content gcd below makes a normalized n = 300
+        # solve 2.5 times slower
+        h = gcd(cf, cg, den)
+        if h != 1:
+            cf, cg, den = cf // h, cg // h, den // h
+        F = [0] * i + [cf * c for c in nf]
+        G = [0] * j + [cg * c for c in ng]
+        out = list(map(sub, F, G))
+        n = len(out)
+        out += F[n:] if len(F) > n else [-c for c in G[n:]]
+        while out and not out[-1]:
+            out.pop()
+        d = gcd(den, *out)  # math.gcd stops early at 1
+        if d == 1:
+            return den, out
+        return den // d, [c // d for c in out]
+
+    def length(self, p):
+        return len(p[1])
+
+    def poly(self, dom, p):
+        den, nums = p
+        return Poly(dom, [Fraction(c, den) for c in nums])
+
+    def terms(self, store, k):
+        T, nums = store
+        return [Fraction(u, T) for u in nums[:k]]
+
+
+_COEFFS, _GF2_BITS, _RAT_SCALED = _Coeffs(), _GF2Bits(), _RatScaled()
 
 
 def solver_init(dom, normalized=False, with_numerator=True, massey=False):
@@ -128,14 +284,14 @@ def solver_init(dom, normalized=False, with_numerator=True, massey=False):
     """
     if normalized:
         require_field(dom)
-    packed = isinstance(dom, GF2)
-    one, zero, minus_one = (1, 0, 1) if packed else (
-        Poly.one(dom), Poly.zero(dom), Poly(dom, [dom.neg(dom.one)]))
+    kernel = (_GF2_BITS if isinstance(dom, GF2) else
+              _RAT_SCALED if isinstance(dom, RationalField) else _COEFFS)
+    terms, one, zero, minus_one = kernel.start(dom)
     st = SolverState.__new__(SolverState)
     st.dom = dom
     st.k = 0
-    st._packed = packed
-    st._terms = 0 if packed else []
+    st._kernel = kernel
+    st._terms = terms
     st._lcs = []
     st._mu1 = one
     st._mu2 = zero if with_numerator else None
@@ -151,31 +307,9 @@ def solver_init(dom, normalized=False, with_numerator=True, massey=False):
     return st
 
 
-_TO_BIT = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask, n=0):
-    """The bits of mask, lowest first, padded with zeros to length n."""
-    bits = list(bin(mask)[:1:-1].encode().translate(_TO_BIT)) if mask else []
-    bits += [0] * (n - len(bits))
-    return bits
-
-
-def _length(packed, p):
-    """Coefficient slots of a stored polynomial: |p| + 1, 0 for zero."""
-    return p.bit_length() if packed else len(p.coeffs)
-
-
-def _update(packed, a, i, f, b, j, g):
-    """a*x^i*f - b*x^j*g; packed (GF(2), a and b 1 or None), an XOR."""
-    if packed:
-        return (f << i) ^ (g << j)
-    return f.sub_scaled(a, i, g, b, j)
-
-
-def _update_muls(packed, a, f, g):
+def _update_muls(kernel, a, f, g):
     """Products in a*x^i*f - b*x^j*g: the length of each rescaled factor."""
-    return _length(packed, g) + (0 if a is None else _length(packed, f))
+    return kernel.length(g) + (0 if a is None else kernel.length(f))
 
 
 def solver_step(state, next_term):
@@ -189,23 +323,11 @@ def solver_step(state, next_term):
     """
     dom = state.dom
     k = state.k
-    packed = state._packed
-    lcs = state._lcs
+    kernel = state._kernel
     mu1 = state._mu1
-    if packed:
-        terms = state._terms | (next_term << k)
-        n1 = mu1.bit_length()
-        # the parity of mu1 AND the window of the last |mu1| + 1 terms
-        delta = ((terms >> (k + 1 - n1)) & mu1).bit_count() & 1
-    else:
-        terms = state._terms
-        if len(terms) != k:  # a retained state: branch off its own history
-            terms, lcs = terms[:k], lcs[:k]
-        terms.append(next_term)
-        n1 = len(mu1.coeffs)
-        # the coefficient of x^(|mu1| - k) in mu1 * genfn of the k + 1 terms
-        delta = dot(dom, mu1.coeffs, terms[k + 1 - n1:])
-    if len(lcs) != k:  # a retained packed state: branch off its profile
+    terms, delta, n1 = kernel.push(dom, state._terms, k, next_term, mu1)
+    lcs = state._lcs
+    if len(lcs) != k:  # a retained state: branch off its profile
         lcs = lcs[:k]
     new = state._copy()
     new.k = k + 1
@@ -221,11 +343,11 @@ def solver_step(state, next_term):
         else:
             a, b = state.deltaP, delta
         i, j = max(e, 0), max(-e, 0)
-        new._mu1 = _update(packed, a, i, mu1, b, j, state._mup1)
-        muls += _update_muls(packed, a, mu1, state._mup1)
+        new._mu1 = kernel.update(a, i, mu1, b, j, state._mup1)
+        muls += _update_muls(kernel, a, mu1, state._mup1)
         if state.with_numerator:
-            new._mu2 = _update(packed, a, i, state._mu2, b, j, state._mup2)
-            muls += _update_muls(packed, a, state._mu2, state._mup2)
+            new._mu2 = kernel.update(a, i, state._mu2, b, j, state._mup2)
+            muls += _update_muls(kernel, a, state._mu2, state._mup2)
         # the determinant picks up b at a jump (mu moves into mu') and a
         # otherwise (mu' stays put)
         factor = a
@@ -239,7 +361,7 @@ def solver_step(state, next_term):
         muls += 1
 
     new.e += 1
-    lc = _length(packed, new._mu1) - 1
+    lc = kernel.length(new._mu1) - 1
     lcs.append(lc)
     new.mul_count = state.mul_count + muls
     if new.e != new.k + 1 - 2 * lc:

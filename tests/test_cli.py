@@ -122,6 +122,28 @@ def test_rational_field_literals():
     assert out["lc"] == 1
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["nonvanish", "--field", "rat", "--terms", "1 2 3"], "--at", "-1/2"),
+    (["solve", "--field", "rat"], "--terms", "-2/1"),
+    (["verify", "--field", "rat"], "--terms", "-2/1"),
+    (["cf", "--field", "rat", "--den", "1 1"], "--num", "-1/2"),
+], ids=["nonvanish", "solve", "verify", "cf"])
+def test_negative_rational_option_value(argv, option, value):
+    """--opt -p/q answers like --opt=-p/q; argparse alone reads -p/q as an option."""
+    assert run_json(argv + [option, value]) == run_json(argv + [f"{option}={value}"])
+
+
+def test_negative_rational_f1_reaches_decompose(capsys):
+    """A constant f1 only annihilates the zero sequence, which has no
+    minimal system, so decompose answers exit 2 in both forms; the lone
+    -1/3 must reach it rather than stop in argparse."""
+    argv = ["decompose", "--field", "rat", "--terms", "1 2 3"]
+    assert run(argv + ["--f1", "-1/3"]) == 2
+    err = capsys.readouterr().err
+    assert run(argv + ["--f1=-1/3"]) == 2
+    assert capsys.readouterr().err == err == "error: -1/3 is not a nonzero annihilator\n"
+
+
 def test_cf_rational_and_prefix():
     out = run_json(
         ["cf", "--field", "gfp:5", "--num", "1", "--den", "-2 1"]
@@ -156,13 +178,15 @@ def test_verify_empty_input(field, terms):
          "step_counter", "profile_mass"], True)}
 
 
-@pytest.mark.parametrize("field", ["gf2", "gfp:7", "int"])
+@pytest.mark.parametrize("field", ["gf2", "gfp:7", "int", "rat"])
 def test_corrupted_step_makes_verify_exit_3(monkeypatch, capsys, field):
     """An LC off by one breaks e = k + 1 - 2*LC, which the solver enforces."""
-    import minseq.solver as solver
+    from minseq.solver import solver_init
 
-    length = solver._length
-    monkeypatch.setattr(solver, "_length", lambda packed, p: length(packed, p) + 1)
+    # the run's kernel measures every stored polynomial
+    kernel = solver_init(parse_domain(field))._kernel
+    length = kernel.length
+    monkeypatch.setattr(kernel, "length", lambda p: length(p) + 1)
     assert run(["verify", "--field", field, "--terms", "1 0 1 1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: e = ") and "k + 1 - 2|mu1|" in err

@@ -2,13 +2,15 @@ import importlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minseq.domains import (
     BinaryExtField,
+    Domain,
     GF2,
     IntegerRing,
     PrimeField,
@@ -270,6 +272,108 @@ def test_gf2_runs_call_no_list_kernel(monkeypatch, dom):
         assert st_.k == 2000 and st_.lc == st_.profile[-1] > 900
 
 
+class ListQ(Domain):
+    """Q through the plain Domain interface. Not being a RationalField, it
+    runs the coefficient-list path: the reference for the rat kernel."""
+
+    name = "q-list"
+    is_field = True
+    zero, one = Fraction(0), Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        return 1 / a
+
+
+def _scalar_types(st_):
+    polys = [p.coeffs for p in (st_.mu1, st_.mu2, st_.mup1, st_.mup2)
+             if p is not None]
+    return {type(v) for v in [st_.deltaP, st_.nabla, st_.last_delta,
+                              *st_.seq.terms, *(c for p in polys for c in p)]}
+
+
+def _in_lowest_terms(st_):
+    """Each stored rat polynomial's denominator is the lcm of its
+    coefficients' own: the content is divided out after every update."""
+    return all(p is None or p[0] == lcm(*(Fraction(c, p[0]).denominator
+                                          for c in p[1]))
+               for p in (st_._mu1, st_._mu2, st_._mup1, st_._mup2))
+
+
+_rat_term = st.one_of(
+    st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12))
+_F = Fraction
+
+
+# division-free sizes about double per step, so a run (branch included)
+# stays under 18 terms
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_rat_term, min_size=1, max_size=12),
+       st.lists(_rat_term, min_size=1, max_size=5), st.integers(0, 11),
+       st.booleans(), st.booleans(), st.booleans())
+# zero terms, and denominators that move T through 1, 2, 6, 12, 36; the
+# branch off k = 3 moves its own T (6) to 30 and 90
+@example([_F(0), _F(1, 2), _F(0), _F(-1, 3), _F(5), _F(3, 4), _F(0),
+          _F(2, 9)], [_F(1, 5), _F(0), _F(7, 9), _F(-2)], 3, False, False, True)
+@example([_F(0), _F(1, 2), _F(0), _F(-1, 3), _F(5), _F(3, 4), _F(0),
+          _F(2, 9)], [_F(1, 5), _F(0), _F(7, 9), _F(-2)], 3, True, True, True)
+@example([_F(0), _F(0), _F(0)], [_F(-1, 7)], 1, True, False, False)
+def test_rat_kernel_matches_the_list_path(
+    terms, other, fork, normalized, massey, with_numerator
+):
+    kw = dict(normalized=normalized, massey=massey,
+              with_numerator=with_numerator)
+    runs = [[solver_init(d, **kw)] for d in (RationalField(), ListQ())]
+    for t in terms:
+        for run in runs:
+            run.append(solver_step(run[-1], t))
+        assert _fields(runs[0][-1]) == _fields(runs[1][-1])
+        assert _scalar_types(runs[0][-1]) == {Fraction}
+        assert _in_lowest_terms(runs[0][-1])
+    assert runs[0][-1].seq.terms == terms
+    final = _fields(runs[0][-1])
+    # a retained state stepped again with other terms branches off
+    k = fork % len(terms)
+    branches = [run[k] for run in runs]
+    for t in other:
+        branches = [solver_step(b, t) for b in branches]
+        assert _fields(branches[0]) == _fields(branches[1])
+    assert branches[0].seq.terms == terms[:k] + other
+    for run in runs:
+        assert _fields(run[-1]) == final
+        assert _fields(solver_step(run[k], terms[k])) == _fields(run[k + 1])
+
+
+@pytest.mark.parametrize(
+    "dom", [RationalField(), parse_domain("rat")], ids=["RationalField()", "parse_domain"]
+)
+def test_rat_runs_call_no_list_kernel(monkeypatch, dom):
+    def refuse(*args):
+        raise AssertionError("a rat run reached a coefficient-list kernel")
+
+    monkeypatch.setattr("minseq.solver.dot", refuse)
+    monkeypatch.setattr(Poly, "sub_scaled", refuse)
+    rng = random.Random(23)
+    terms = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(200)]
+    for normalized, n in ((False, 20), (True, 200)):
+        st_ = minimal_solution(Seq(dom, terms[:n]), normalized=normalized)
+        assert st_.k == n and st_.lc == st_.profile[-1] >= n // 2 - 2
+
+
 @pytest.fixture
 def referee(monkeypatch):
     """perfbench's referee: Berlekamp-Massey sharing no code with minseq."""
@@ -303,6 +407,22 @@ def test_long_gf2_runs_pass_the_referee(referee):
             assert referee.check_solution("gf2", terms, out) == []
         assert referee.check_profile("gf2", terms, lc_profile(s)) == []
     assert st_.lc <= 64
+
+
+def test_benchmark_size_rat_runs_pass_the_referee(referee):
+    """exact-swell's rat solves: normalized n = 300, division free n = 20."""
+    rng = random.Random(37)
+    point = rng.getrandbits(64) | 1
+    for normalized, n in ((True, 300), (False, 20)):
+        terms = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        s = Seq(RationalField(), terms)
+        st_ = minimal_solution(s, normalized=normalized)
+        out = {"profile": st_.profile, "nabla": st_.nabla}
+        for name in ("mu1", "mu2", "mup1", "mup2"):
+            out[name] = getattr(st_, name).coeffs
+        assert referee.check_solution("rat", terms, out, point) == []
+        # not lc_profile: it runs division free, which swells past n = 20
+        assert referee.check_profile("rat", terms, st_.profile) == []
 
 
 def _massey_lc(c, terms, p):
