@@ -107,10 +107,6 @@ def load_seq(args, dom):
     return Seq.parse(dom, tokens)
 
 
-def parse_poly_arg(dom, text):
-    return Poly.parse(dom, text.split())
-
-
 def add_pretty(out, dom, **polys):
     out["pretty"] = {
         key: (None if p is None else str(p)) for key, p in polys.items()
@@ -161,7 +157,8 @@ def cmd_cf(args, dom):
             raise MinseqError("rational mode needs both --num and --den")
         if args.terms is not None or args.file is not None:
             raise MinseqError("give either --num/--den or a term sequence, not both")
-        S = RationalFn(parse_poly_arg(dom, args.num), parse_poly_arg(dom, args.den))
+        S = RationalFn(Poly.parse(dom, args.num.split()),
+                       Poly.parse(dom, args.den.split()))
         exp = cf_expand_rational(S, max_i=args.max_i)
     else:
         s = load_seq(args, dom)
@@ -186,7 +183,7 @@ def cmd_cf(args, dom):
 
 def cmd_decompose(args, dom):
     s = load_seq(args, dom)
-    f1 = parse_poly_arg(dom, args.f1)
+    f1 = Poly.parse(dom, args.f1.split())
     f = SolutionPair(f1, bracket_numerator(f1, s))
     # decompose() raises unless the reconstruction and the degree bounds hold
     dec = decompose(f, s, minimal_system_of(s))

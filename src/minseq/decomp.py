@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .domains import require_field, require_finite_field
 from .errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     InvariantViolation,
     NotAnnihilator,
@@ -25,6 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .genfn import SolutionPair, bracket_numerator, is_annihilator
+from .oracle import _budget
 from .poly import Poly, poly_gcd
 from .solver import (
     ESSENTIAL,
@@ -132,11 +134,21 @@ def _degree_at_most(dom, d):
         yield Poly(dom, list(coeffs))
 
 
+def _solution_count(q, d, st):
+    """(q - 1) q^(d - LC) choices of phi' times q^(cap + 1) of phi."""
+    lc = st.lc
+    if d < lc:
+        return 0
+    cap = d - lc - st.e
+    return (q - 1) * q ** (d - lc) * (q ** (cap + 1) if cap >= 0 else 1)
+
+
 def enumerate_solutions(s, d):
     """Every solution with |f1| = d, from the (phi, phi') coordinates.
 
     Each entry is ((phi'*mu - phi*mu')/nabla) so that re-decomposing
     recovers (phi, phi') on the nose; uniqueness rules out duplicates.
+    BudgetExceeded when their count passes MINSEQ_ORACLE_BUDGET.
     """
     dom = s.dom
     require_finite_field(dom)
@@ -144,6 +156,11 @@ def enumerate_solutions(s, d):
     if not 0 <= d <= n:
         raise DegreeOutOfRange(f"degree {d} not in 0..{n}")
     st = minimal_solution(s)
+    budget = _budget()
+    if _solution_count(dom.size, d, st) > budget:
+        raise BudgetExceeded(
+            f"the degree-{d} solutions over {dom.name} exceed budget {budget}"
+        )
     lc = st.lc
     if d < lc:
         return []
@@ -170,14 +187,7 @@ def count_solutions(s, d):
     n = len(s)
     if not 0 <= d <= n:
         raise DegreeOutOfRange(f"degree {d} not in 0..{n}")
-    st = minimal_solution(s, with_numerator=False)
-    lc = st.lc
-    if d < lc:
-        return 0
-    q = dom.size
-    cap = d - lc - st.e
-    n_exact = (q - 1) * q ** (d - lc)
-    return n_exact * (q ** (cap + 1) if cap >= 0 else 1)
+    return _solution_count(dom.size, d, minimal_solution(s, with_numerator=False))
 
 
 def gcd_checks(f, s, sys):

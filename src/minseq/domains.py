@@ -5,6 +5,11 @@ Domain object carries the arithmetic, parsing and formatting. Domains are
 value objects: two instances with the same spec string compare equal, so
 containers can check operand compatibility cheaply.
 
+Arithmetic defaults to Python's operators, which int and rat inherit; a
+domain overrides only what it reduces (GF(p) mod p, GF(2^m) by XOR and log
+tables). GF2 is the p = 2 prime field under its own spec name and literal
+rule (0 or 1 only), with XOR and AND for its arithmetic.
+
 Spec strings: ``gf2``, ``gfp:<p>``, ``gf2m:<m>:<hex-modulus>``, ``int``,
 ``rat``. Element literals: 0/1 for gf2, a decimal residue for gfp, a hex
 bit-vector (with or without 0x) for gf2m, a signed decimal for int, and
@@ -13,6 +18,7 @@ bit-vector (with or without 0x) for gf2m, a signed decimal for int, and
 
 from fractions import Fraction
 from math import isqrt
+from operator import add, and_, mul, neg, pos, sub, xor
 
 from .errors import (
     MinseqError,
@@ -180,17 +186,10 @@ class Domain:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    add = staticmethod(add)
+    sub = staticmethod(sub)
+    neg = staticmethod(neg)
+    mul = staticmethod(mul)
 
     def is_unit(self, a):
         raise NotImplementedError
@@ -224,7 +223,8 @@ class Domain:
         raise NotAFiniteField(f"{self.name} is not a finite field")
 
     def elements(self):
-        raise NotAFiniteField(f"{self.name} is not a finite field")
+        """A finite domain's elements are the ints 0..size-1."""
+        return range(self.size)
 
     def __eq__(self, other):
         return isinstance(other, Domain) and self.name == other.name
@@ -234,44 +234,6 @@ class Domain:
 
     def __repr__(self):
         return f"Domain({self.name})"
-
-
-class GF2(Domain):
-    name = "gf2"
-    is_field = True
-    is_finite = True
-
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-    def neg(self, a):
-        return a
-
-    def mul(self, a, b):
-        return a & b
-
-    def is_unit(self, a):
-        return a == 1
-
-    def inv(self, a):
-        if a != 1:
-            raise NotInvertible("0 has no inverse")
-        return 1
-
-    def _parse(self, text):
-        v = int(text, 0)
-        if v not in (0, 1):
-            raise MinseqError(f"gf2 literal must be 0 or 1, got {text!r}")
-        return v
-
-    @property
-    def size(self):
-        return 2
-
-    def elements(self):
-        return (0, 1)
 
 
 class PrimeField(Domain):
@@ -311,8 +273,24 @@ class PrimeField(Domain):
     def size(self):
         return self.p
 
-    def elements(self):
-        return range(self.p)
+
+class GF2(PrimeField):
+    """GF(p) at p = 2: spec ``gf2``, literals 0 or 1, XOR and AND."""
+
+    name = "gf2"
+    p = 2
+    add = sub = staticmethod(xor)
+    neg = staticmethod(pos)
+    mul = staticmethod(and_)
+
+    def __init__(self):  # p = 2 needs no primality check
+        pass
+
+    def _parse(self, text):
+        v = int(text, 0)
+        if v not in (0, 1):
+            raise MinseqError(f"gf2 literal must be 0 or 1, got {text!r}")
+        return v
 
 
 class BinaryExtField(Domain):
@@ -370,13 +348,8 @@ class BinaryExtField(Domain):
             acc = _gf2x_mod(_gf2x_mul(acc, gen), self.modulus)
         return exp, log
 
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-    def neg(self, a):
-        return a
+    add = sub = staticmethod(xor)
+    neg = staticmethod(pos)
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -409,24 +382,9 @@ class BinaryExtField(Domain):
     def size(self):
         return 1 << self.m
 
-    def elements(self):
-        return range(1 << self.m)
-
 
 class IntegerRing(Domain):
     name = "int"
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -453,18 +411,6 @@ class RationalField(Domain):
     is_field = True
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_unit(self, a):
         return a != 0

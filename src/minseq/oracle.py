@@ -6,8 +6,9 @@ bare convolution sums, so this module can referee the others. GF(2) gets a
 bitmask fast path (a polynomial is an int, one convolution coefficient is
 one popcount parity), which is still the same definition.
 
-Enumeration size is capped: q^(d+1) must stay within MINSEQ_ORACLE_BUDGET
-(default 10^7) or BudgetExceeded is raised.
+Degrees run over 0..n (DegreeOutOfRange otherwise), and enumeration size
+is capped: q^(d+1) must stay within MINSEQ_ORACLE_BUDGET (default 10^7) or
+BudgetExceeded is raised. The same budget bounds decomp.enumerate_solutions.
 """
 
 import os
@@ -15,7 +16,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .domains import GF2, require_finite_field
-from .errors import BudgetExceeded, InvariantViolation, MinseqError
+from .errors import BudgetExceeded, DegreeOutOfRange, InvariantViolation, MinseqError
 from .poly import Poly
 
 DEFAULT_BUDGET = 10_000_000
@@ -38,12 +39,15 @@ def _budget():
 
 
 def _check_budget(q, d):
-    size = q ** (d + 1)
+    """BudgetExceeded once a partial power of q^(d+1) passes the cap."""
     cap = _budget()
-    if size > cap:
-        raise BudgetExceeded(
-            f"enumeration size q^(d+1) = {size} exceeds budget {cap}"
-        )
+    size = 1
+    for _ in range(d + 1):
+        size *= q
+        if size > cap:
+            raise BudgetExceeded(
+                f"enumeration size q^(d+1) = {q}^{d + 1} exceeds budget {cap}"
+            )
 
 
 def _gf2_annihilates(mask, smask, d, n):
@@ -73,6 +77,8 @@ def brute_annihilators(s, d):
     dom = s.dom
     require_finite_field(dom)
     n = len(s)
+    if not 0 <= d <= n:
+        raise DegreeOutOfRange(f"degree {d} not in 0..{n}")
     _check_budget(dom.size, d)
     out = []
     if isinstance(dom, GF2):

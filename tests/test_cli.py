@@ -313,6 +313,32 @@ def test_fuzzed_argv_exits_0_or_2(cmd, field, tokens, at, flags):
     assert code_of(argv) in (0, 2), argv
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    cmd=st.sampled_from([["oracle", "count"], ["enumerate"]]),
+    field=st.sampled_from(FUZZ_FIELDS),
+    tokens=st.lists(FUZZ_LITERALS, max_size=8),
+    degree=st.integers(-12, 12) | st.integers(-10**7, 10**7),
+)
+def test_fuzzed_degree_exits_0_or_2(cmd, field, tokens, degree):
+    """Degrees outside 0..n and enumerations past the budget exit 2."""
+    argv = cmd + ["--field", field, "--terms", " ".join(tokens), "--degree", str(degree)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MINSEQ_ORACLE_BUDGET", "5000")
+        assert code_of(argv) in (0, 2), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "count", "--field", "gf2", "--terms", "0 1 1", "--degree", "-3"],
+    ["oracle", "count", "--field", "gfp:7", "--terms", "1 2 3", "--degree", "-3"],
+    ["oracle", "count", "--field", "gfp:2305843009213693951",
+     "--terms", " ".join(map(str, range(1, 301))), "--degree", "299"],
+    ["enumerate", "--field", "gfp:65521", "--terms", "1 2 3 4 5 6", "--degree", "6"],
+], ids=["gf2-negative", "gfp7-negative", "gfp61-past-str-limit", "enumerate-5e33"])
+def test_oracle_and_enumerate_refusals_exit_2(argv):
+    assert code_of(argv) == 2
+
+
 def test_invariant_violation_exit_code(monkeypatch):
     import io
     from contextlib import redirect_stderr

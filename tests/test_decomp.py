@@ -14,6 +14,7 @@ from minseq.decomp import (
 )
 from minseq.domains import GF2, IntegerRing, PrimeField
 from minseq.errors import (
+    BudgetExceeded,
     DegreeOutOfRange,
     MinseqError,
     NotAFiniteField,
@@ -168,6 +169,20 @@ def test_enumerate_degree_five():
         assert is_annihilator(f.f1, TABLE_SEQ)
         assert f.f2 == bracket_numerator(f.f1, TABLE_SEQ)
         assert f.f1.degree == 5
+
+
+def test_enumerate_budget_is_the_closed_form_count(monkeypatch):
+    s = Seq(PrimeField(7), [1, 2, 3])
+    n_sols = count_solutions(s, 3)
+    monkeypatch.setenv("MINSEQ_ORACLE_BUDGET", str(n_sols))
+    assert len(enumerate_solutions(s, 3)) == n_sols
+    monkeypatch.setenv("MINSEQ_ORACLE_BUDGET", str(n_sols - 1))
+    with pytest.raises(BudgetExceeded):
+        enumerate_solutions(s, 3)
+    # 5.2e33 solutions: refused from the count, before any is built
+    monkeypatch.delenv("MINSEQ_ORACLE_BUDGET")
+    with pytest.raises(BudgetExceeded):
+        enumerate_solutions(Seq(PrimeField(65521), [1, 2, 3, 4, 5, 6]), 6)
 
 
 def test_enumerate_policy_edges():

@@ -1,4 +1,6 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,6 +51,53 @@ def test_gf2_basics():
         d.parse("2")
     assert sorted(d.elements()) == [0, 1]
     assert d.size == 2
+
+
+@given(st.integers(0, 1), st.integers(0, 1))
+def test_gf2_agrees_with_gfp2(a, b):
+    d, ref = GF2(), PrimeField(2)
+    assert isinstance(d, PrimeField) and d.name == "gf2" and d != ref
+    for op in ("add", "sub", "mul"):
+        got = getattr(d, op)(a, b)
+        assert got == getattr(ref, op)(a, b) and type(got) is int
+    assert d.neg(a) == ref.neg(a)
+    assert d.is_unit(a) == ref.is_unit(a)
+    if a:
+        assert d.inv(a) == ref.inv(a) == 1
+    else:
+        for dom in (d, ref):
+            with pytest.raises(NotInvertible):
+                dom.inv(a)
+    assert d.size == ref.size == 2
+    assert list(d.elements()) == list(ref.elements()) == [0, 1]
+
+
+PY_OPS = (("add", operator.add), ("sub", operator.sub), ("mul", operator.mul))
+
+
+@given(st.integers(), st.integers())
+def test_int_arithmetic_is_pythons(a, b):
+    d = IntegerRing()
+    for name, op in PY_OPS:
+        got = getattr(d, name)(a, b)
+        assert got == op(a, b) and type(got) is int
+    assert d.neg(a) == -a and type(d.neg(a)) is int
+
+
+@given(st.fractions(), st.fractions())
+def test_rat_arithmetic_is_pythons_and_stays_fraction(a, b):
+    d = RationalField()
+    for name, op in PY_OPS:
+        got = getattr(d, name)(a, b)
+        assert got == op(a, b) and type(got) is Fraction
+    assert d.neg(a) == -a and type(d.neg(a)) is Fraction
+
+
+@given(st.integers(0, 255), st.integers(0, 255))
+def test_gf2m_add_and_sub_are_xor(a, b):
+    d = parse_domain("gf2m:8:0x11B")
+    assert d.add(a, b) == d.sub(a, b) == a ^ b
+    assert d.neg(a) == a
 
 
 def test_prime_field_rejects_composites():

@@ -1,7 +1,7 @@
 import pytest
 
 from minseq.domains import GF2, IntegerRing, PrimeField
-from minseq.errors import BudgetExceeded, NotAFiniteField
+from minseq.errors import BudgetExceeded, DegreeOutOfRange, NotAFiniteField
 from minseq.genfn import Seq, is_annihilator
 from minseq.oracle import brute_annihilators, brute_lc, brute_lc_at
 from minseq.poly import Poly
@@ -76,6 +76,22 @@ def test_budget_guard(monkeypatch):
     assert len(brute_annihilators(s, 1)) >= 0  # 3^2 = 9 <= 10
     monkeypatch.setenv("MINSEQ_ORACLE_BUDGET", "1000000")
     brute_annihilators(s, 2)
+
+
+@pytest.mark.parametrize("dom", [F2, F3], ids=lambda d: d.name)
+def test_degree_outside_0_to_n_is_out_of_range(dom):
+    s = Seq(dom, [1, 0, 1])
+    for d in (-3, -1, 4, 3_000_000):
+        with pytest.raises(DegreeOutOfRange):
+            brute_annihilators(s, d)
+
+
+def test_budget_guard_stops_before_the_full_power():
+    # q^(d+1) here has about 5,700 digits, past the int-to-str limit
+    q = 2**61 - 1
+    s = Seq(PrimeField(q), range(1, 301))
+    with pytest.raises(BudgetExceeded, match=rf"= {q}\^300 exceeds budget"):
+        brute_annihilators(s, 299)
 
 
 def test_requires_finite_field():
