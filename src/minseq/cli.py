@@ -14,7 +14,7 @@ from itertools import pairwise
 
 from .cf import RationalFn, cf_expand_prefix, cf_expand_rational, lc_from_cf
 from .decomp import count_solutions, decompose, enumerate_solutions, minimal_system_of, pairing
-from .domains import BinaryExtField, RationalField, parse_domain
+from .domains import BinaryExtField, parse_domain
 from .errors import InvariantViolation, MinseqError
 from .genfn import Seq, SolutionPair, bracket_numerator
 from .nonvanish import nonvanishing_solution
@@ -76,11 +76,8 @@ def build_parser():
 
 
 def elem_out(dom, a):
-    if isinstance(dom, BinaryExtField):
-        return dom.format(a)
-    if isinstance(dom, RationalField):
-        return str(a)
-    return int(a)
+    """A hex string over GF(2^m), else the element (run prints Q's p/q)."""
+    return dom.format(a) if isinstance(dom, BinaryExtField) else a
 
 
 def poly_out(dom, p):
@@ -107,12 +104,6 @@ def load_seq(args, dom):
     return Seq.parse(dom, tokens)
 
 
-def add_pretty(out, dom, **polys):
-    out["pretty"] = {
-        key: (None if p is None else str(p)) for key, p in polys.items()
-    }
-
-
 def cmd_solve(args, dom):
     s = load_seq(args, dom)
     st = minimal_solution(s, normalized=args.normalized,
@@ -133,7 +124,7 @@ def cmd_solve(args, dom):
         "n_prime": cls.n_prime,
     }
     if args.pretty:
-        add_pretty(out, dom, mu1=st.mu1, mu2=st.mu2, mup1=st.mup1, mup2=st.mup2)
+        out["pretty"] = dict(mu1=st.mu1, mu2=st.mu2, mup1=st.mup1, mup2=st.mup2)
     return out
 
 
@@ -194,7 +185,7 @@ def cmd_decompose(args, dom):
         "bounds_ok": True,
     }
     if args.pretty:
-        add_pretty(out, dom, m=dec.m, mp=dec.mP)
+        out["pretty"] = dict(m=dec.m, mp=dec.mP)
     return out
 
 
@@ -226,7 +217,7 @@ def cmd_nonvanish(args, dom):
         "used_extension": res.used_extension,
     }
     if args.pretty:
-        add_pretty(out, dom, xi1=res.xi.f1, xi2=res.xi.f2)
+        out["pretty"] = dict(xi1=res.xi.f1, xi2=res.xi.f2)
     return out
 
 
@@ -336,7 +327,15 @@ def run(argv):
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    print(json.dumps(out, indent=2 if args.pretty else None))
+    # Python 3.10.7+ refuses str(int) past 4,300 digits. The limit is lifted
+    # for the output alone: an over-long input literal still exits 2.
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:  # Fractions, and the Polys under --pretty, print as their str()
+        print(json.dumps(out, indent=2 if args.pretty else None, default=str))
+    finally:
+        set_limit(limit)
     return 0
 
 

@@ -72,7 +72,7 @@ def dot(dom, coeffs, terms):
     """sum c*u over zip(coeffs, terms): the convolution kernel.
 
     Every convolution coefficient goes through here, except the solver's
-    discrepancy over GF(2), which is a parity of packed bits (see solver).
+    discrepancies over GF(2), GF(p), Z and Q, on its own kernels.
     """
     add, mul, zero = dom.add, dom.mul, dom.zero
     acc = zero

@@ -17,23 +17,15 @@ so partial states can be retained (each pair of the stream is two). Stepping
 a retained state again branches: the new state copies the history below k
 once and appends to that copy.
 
-solver_init picks one of three kernels for the run, and solver_step has
-no branch on the domain. A kernel stores the terms and mu1, mu2, mup1,
-mup2, and computes the discrepancy and the update from them:
-- coefficient lists (every other domain): Poly objects, Poly.sub_scaled
-  and genfn.dot, the reference path;
-- GF(2) bits (any GF2 instance): the terms and each polynomial packed
-  into one int, bit i holding s_{-i} or the coefficient of x^i; the
-  discrepancy is the parity of mu1 AND the term window, the update
-  (mu << i) ^ (mu' << j);
-- rat scaled ints (any RationalField instance): each polynomial is a
-  denominator and a list of integer numerators in lowest terms, the terms
-  are integers over the lcm T of their denominators; the discrepancy is
-  one integer dot product over den*T, the update one integer combination
-  with the content (the gcd of den and the numerators) divided out.
-The public mu1..mup2 and seq build Polys and terms when read, so GF(2)
-bits and Fractions appear only at output; lc and the profile come from
-lengths, and deltaP, nabla and last_delta are domain elements.
+solver_init picks the run's kernel by domain, and solver_step has no
+branch on the domain: _GF2Bits packs GF(2) into ints, _PrimeInts keeps
+GF(p) as int lists mod p, _IntContent keeps Z as a content times a
+primitive int list, _RatScaled keeps Q as integer numerators over a
+denominator, and _Coeffs keeps Polys for any other domain (the reference
+path). The three integer-list kernels share one combination, _combine,
+and differ only in how they reduce it. The public mu1..mup2 and seq build
+Polys and terms when read; lc and the profile come from lengths, and
+deltaP, nabla and last_delta are domain elements.
 
 mul_count tallies domain multiplications the way the cost bounds are stated:
 one per coefficient slot touched by a scalar product (zero slots included,
@@ -50,7 +42,7 @@ from math import gcd
 from operator import mul, sub
 from typing import NamedTuple, Optional
 
-from .domains import GF2, RationalField, require_field
+from .domains import GF2, IntegerRing, PrimeField, RationalField, require_field
 from .errors import InvariantViolation, MinseqError
 from .genfn import Seq, SolutionPair, dot
 from .poly import Poly
@@ -149,16 +141,18 @@ class _Coeffs:
     def start(self, dom):
         return [], Poly.one(dom), Poly.zero(dom), Poly(dom, [dom.neg(dom.one)])
 
-    def push(self, dom, store, k, t, mu1):
-        terms = store
+    def push(self, dom, terms, k, t, mu1):
         if len(terms) != k:  # a retained state: branch off its own history
             terms = terms[:k]
         terms.append(t)
-        n1 = len(mu1.coeffs)
+        n1 = self.length(mu1)
         # the coefficient of x^(|mu1| - k) in mu1 * genfn of the k + 1 terms
-        return terms, dot(dom, mu1.coeffs, terms[k + 1 - n1:]), n1
+        return terms, self.dot(dom, mu1, terms[k + 1 - n1:]), n1
 
-    def update(self, a, i, f, b, j, g):
+    def dot(self, dom, p, window):
+        return dot(dom, p.coeffs, window)
+
+    def update(self, dom, a, i, f, b, j, g):
         return f.sub_scaled(a, i, g, b, j)
 
     def length(self, p):
@@ -169,6 +163,65 @@ class _Coeffs:
 
     def terms(self, store, k):
         return store[:k]
+
+
+def _combine(cf, i, f, cg, j, g, p=0):
+    """cf*x^i*f - cg*x^j*g on int lists, high zeros stripped, mod p if p."""
+    F = [0] * i + (f if cf is None else [cf * c for c in f])
+    G = [0] * j + [cg * c for c in g]
+    out = list(map(sub, F, G))
+    n = len(out)
+    out += F[n:] if len(F) > n else [-c for c in G[n:]]
+    if p:
+        out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+class _PrimeInts(_Coeffs):
+    """GF(p) (gfp:2 included, GF2 not): polynomials as int lists mod p."""
+
+    def start(self, dom):
+        return [], [1], [], [dom.p - 1]
+
+    def dot(self, dom, p, window):
+        return sum(map(mul, p, window)) % dom.p
+
+    def update(self, dom, a, i, f, b, j, g):
+        return _combine(a, i, f, b, j, g, dom.p)
+
+    def length(self, p):
+        return len(p)
+
+    def poly(self, dom, p):
+        return Poly(dom, p)
+
+
+class _IntContent(_Coeffs):
+    """Z: a positive content times a primitive int list, (c, []) for zero.
+    Nearly all of the swell is the content (Brown's primitive PRS)."""
+
+    def start(self, dom):
+        return [], (1, [1]), (1, []), (1, [-1])
+
+    def dot(self, dom, p, window):
+        return p[0] * sum(map(mul, p[1], window))  # content * primitive
+
+    def update(self, dom, a, i, f, b, j, g):
+        # h = gcd(a*cf, b*cg) comes out before the products on small ints
+        (cf, pf), (cg, pg) = f, g
+        alpha, beta = a * cf, b * cg
+        h = gcd(alpha, beta)
+        out = _combine(alpha // h, i, pf, beta // h, j, pg)
+        d = gcd(*out) or 1  # gcd() of no entries is 0
+        return h * d, [c // d for c in out]
+
+    def length(self, p):
+        return len(p[1])
+
+    def poly(self, dom, p):
+        return Poly(dom, [p[0] * v for v in p[1]])
 
 
 _TO_BIT = bytes.maketrans(b"01", b"\0\1")
@@ -193,7 +246,7 @@ class _GF2Bits:
         # the parity of mu1 AND the window of the last |mu1| + 1 terms
         return terms, ((terms >> (k + 1 - n1)) & mu1).bit_count() & 1, n1
 
-    def update(self, a, i, f, b, j, g):
+    def update(self, dom, a, i, f, b, j, g):
         return (f << i) ^ (g << j)  # a and b are 1 or None
 
     def length(self, p):
@@ -233,7 +286,7 @@ class _RatScaled:
         acc = sum(map(mul, coeffs, nums[k + 1 - n1:]))
         return store, Fraction(acc, den * T), n1
 
-    def update(self, a, i, f, b, j, g):
+    def update(self, dom, a, i, f, b, j, g):
         """With a = pa/qa, b = pb/qb and L = lcm(df, dg): the numerators
         pa*qb*(L/df)*x^i*nf - pb*qa*(L/dg)*x^j*ng over qa*qb*L, reduced.
         """
@@ -249,13 +302,7 @@ class _RatScaled:
         h = gcd(cf, cg, den)
         if h != 1:
             cf, cg, den = cf // h, cg // h, den // h
-        F = [0] * i + [cf * c for c in nf]
-        G = [0] * j + [cg * c for c in ng]
-        out = list(map(sub, F, G))
-        n = len(out)
-        out += F[n:] if len(F) > n else [-c for c in G[n:]]
-        while out and not out[-1]:
-            out.pop()
+        out = _combine(cf, i, nf, cg, j, ng)
         d = gcd(den, *out)  # math.gcd stops early at 1
         if d == 1:
             return den, out
@@ -273,7 +320,8 @@ class _RatScaled:
         return [Fraction(u, T) for u in nums[:k]]
 
 
-_COEFFS, _GF2_BITS, _RAT_SCALED = _Coeffs(), _GF2Bits(), _RatScaled()
+_COEFFS, _GF2_BITS, _PRIME_INTS = _Coeffs(), _GF2Bits(), _PrimeInts()
+_INT_CONTENT, _RAT_SCALED = _IntContent(), _RatScaled()
 
 
 def solver_init(dom, normalized=False, with_numerator=True, massey=False):
@@ -284,7 +332,9 @@ def solver_init(dom, normalized=False, with_numerator=True, massey=False):
     """
     if normalized:
         require_field(dom)
-    kernel = (_GF2_BITS if isinstance(dom, GF2) else
+    kernel = (_GF2_BITS if isinstance(dom, GF2) else  # GF2 is a PrimeField
+              _PRIME_INTS if isinstance(dom, PrimeField) else
+              _INT_CONTENT if isinstance(dom, IntegerRing) else
               _RAT_SCALED if isinstance(dom, RationalField) else _COEFFS)
     terms, one, zero, minus_one = kernel.start(dom)
     st = SolverState.__new__(SolverState)
@@ -343,10 +393,10 @@ def solver_step(state, next_term):
         else:
             a, b = state.deltaP, delta
         i, j = max(e, 0), max(-e, 0)
-        new._mu1 = kernel.update(a, i, mu1, b, j, state._mup1)
+        new._mu1 = kernel.update(dom, a, i, mu1, b, j, state._mup1)
         muls += _update_muls(kernel, a, mu1, state._mup1)
         if state.with_numerator:
-            new._mu2 = kernel.update(a, i, state._mu2, b, j, state._mup2)
+            new._mu2 = kernel.update(dom, a, i, state._mu2, b, j, state._mup2)
             muls += _update_muls(kernel, a, state._mu2, state._mup2)
         # the determinant picks up b at a jump (mu moves into mu') and a
         # otherwise (mu' stays put)

@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from minseq.cli import build_parser, main, run
 from minseq.domains import parse_domain
+from minseq.genfn import Seq
 from minseq.poly import Poly
+from minseq.solver import minimal_solution
 
 TABLE = "0 1 1 0 0 1 0 1"
 
@@ -337,6 +340,45 @@ def test_fuzzed_degree_exits_0_or_2(cmd, field, tokens, degree):
 ], ids=["gf2-negative", "gfp7-negative", "gfp61-past-str-limit", "enumerate-5e33"])
 def test_oracle_and_enumerate_refusals_exit_2(argv):
     assert code_of(argv) == 2
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default 4,300-digit limit on int <-> str, whatever
+    PYTHONINTMAXSTRDIGITS says; yields the setter (a no-op before 3.10.7)."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield lambda n: None
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    yield set_limit
+    set_limit(old)
+
+
+# random.Random(1).randint(-5, 5), 26 times: the division-free mu1 has
+# coefficients past 4,300 digits over int, numerators past it over rat
+BIG_TERMS = "-3 4 -4 -1 -4 2 2 2 5 1 -2 -4 2 -5 1 1 4 -5 2 -1 -2 4 -4 0 -5 -5"
+
+
+@pytest.mark.parametrize("field", ["int", "rat"])
+def test_answers_past_the_digit_limit_print(capsys, digit_limit, field):
+    assert run(["solve", "--field", field, "--terms", BIG_TERMS]) == 0
+    text = capsys.readouterr().out
+    if hasattr(sys, "get_int_max_str_digits"):  # lifted for the dump alone
+        assert sys.get_int_max_str_digits() == 4300
+    digit_limit(0)  # to read the answer back
+    seq = Seq.parse(parse_domain(field), BIG_TERMS.split())
+    mu1 = minimal_solution(seq).mu1.coeffs
+    assert max(abs(Fraction(c).numerator) for c in mu1) >= 10 ** 4300
+    got = json.loads(text)["mu1"]
+    assert (got if field == "int" else [Fraction(v) for v in got]) == mu1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no digit limit")
+def test_an_input_literal_past_the_digit_limit_exits_2(digit_limit):
+    assert code_of(["solve", "--field", "int", "--terms", "9" * 5000]) == 2
 
 
 def test_invariant_violation_exit_code(monkeypatch):

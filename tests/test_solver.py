@@ -2,7 +2,7 @@ import importlib
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -222,6 +222,67 @@ def test_solver_states_is_the_step_loop(dom):
             assert got == fresh + [_fields(s) for s in run_trace(dom, terms, **kw)]
 
 
+def _runs_agree(doms, terms, other, fork, **kw):
+    """Runs over doms report the same fields after every step, and again
+    when the state retained at fork % len(terms) is stepped with other
+    terms; returns the runs (the fresh state, then one per term)."""
+    runs = [[solver_init(d, **kw)] for d in doms]
+
+    def agree(states):
+        first = _fields(states[0])
+        for st_ in states[1:]:
+            assert _fields(st_) == first
+
+    for t in terms:
+        for run in runs:
+            run.append(solver_step(run[-1], t))
+        agree([run[-1] for run in runs])
+    assert runs[0][-1].seq.terms == terms
+    final = _fields(runs[0][-1])
+    # a retained state stepped again with other terms branches off
+    k = fork % len(terms)
+    branches = [run[k] for run in runs]
+    for t in other:
+        branches = [solver_step(b, t) for b in branches]
+        agree(branches)
+    assert branches[0].seq.terms == terms[:k] + other
+    for run in runs:
+        assert _fields(run[-1]) == final
+        assert _fields(solver_step(run[k], terms[k])) == _fields(run[k + 1])
+    return runs
+
+
+class ListGFp(Domain):
+    """GF(p) through the plain Domain interface. Not being a PrimeField, it
+    runs the coefficient-list path: the reference for the GF(p) and GF(2)
+    kernels."""
+
+    is_field = True
+    is_finite = True
+
+    def __init__(self, p):
+        self.p = p
+        self.name = f"gfp-list:{p}"
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def is_unit(self, a):
+        return a != 0
+
+    def inv(self, a):
+        return pow(a, self.p - 2, self.p)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.sampled_from([0, 1]), min_size=1, max_size=60),
@@ -234,37 +295,91 @@ def test_solver_states_is_the_step_loop(dom):
 def test_packed_gf2_matches_the_list_path(
     terms, fork, normalized, massey, with_numerator, dom
 ):
-    # gfp:2 runs the coefficient-list path on the same 0/1 terms
-    kw = dict(normalized=normalized, massey=massey,
-              with_numerator=with_numerator)
-    runs = [[solver_init(d, **kw)] for d in (dom, PrimeField(2))]
-    for t in terms:
-        for run in runs:
-            run.append(solver_step(run[-1], t))
-        assert _fields(runs[0][-1]) == _fields(runs[1][-1])
-    final = _fields(runs[0][-1])
-    # a retained state stepped again with the other term branches off
+    # gfp:2 (the GF(p) kernel) and ListGFp(2) (the coefficient-list path)
+    # on the same 0/1 terms
     k = fork % len(terms)
-    flip = [1 - terms[k]] + terms[k + 1:]
-    branches = [run[k] for run in runs]
-    for t in flip:
-        branches = [solver_step(b, t) for b in branches]
-        assert _fields(branches[0]) == _fields(branches[1])
-    assert branches[0].seq.terms == terms[:k] + flip
-    for run in runs:
-        assert _fields(run[-1]) == final
-        assert _fields(solver_step(run[k], terms[k])) == _fields(run[k + 1])
+    _runs_agree([dom, PrimeField(2), ListGFp(2)], terms,
+                [1 - terms[k]] + terms[k + 1:], fork, normalized=normalized,
+                massey=massey, with_numerator=with_numerator)
+
+
+_FLAGS = [dict(normalized=n, massey=m, with_numerator=w)
+          for n, m, w in product((False, True), repeat=3)]
+_gfp_raw = st.one_of(st.just(0), st.integers(0, 2 ** 64))
+
+
+@pytest.mark.parametrize("p", [3, 7, 65521, 2 ** 61 - 1])
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_gfp_raw, min_size=1, max_size=40),
+       st.lists(_gfp_raw, min_size=1, max_size=10), st.integers(0, 39))
+def test_gfp_kernel_matches_the_list_path(p, terms, other, fork):
+    terms, other = [t % p for t in terms], [t % p for t in other]
+    for kw in _FLAGS:
+        _runs_agree([PrimeField(p), ListGFp(p)], terms, other, fork, **kw)
+
+
+class ListZ(Domain):
+    """Z through the plain Domain interface (Python's operators). Not being
+    an IntegerRing, it runs the coefficient-list path: the reference for
+    the int kernel."""
+
+    name = "z-list"
+
+
+# division-free sizes about double per step, so a run (branch included)
+# stays under 18 terms
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(0, 11))
+# leading zero terms, and a branch off k = 2 that starts with a zero
+@example([0, 0, 3, -2, 5, 0, 1], [4, 0, -1], 2)
+def test_int_kernel_matches_the_list_path(terms, other, fork):
+    for kw in _FLAGS[:4]:  # int is no field: normalized stays off
+        runs = _runs_agree([IntegerRing(), ListZ()], terms, other, fork, **kw)
+        assert all(_primitive(st_) for st_ in runs[0])
+
+
+def _primitive(st_):
+    """Each stored int polynomial is a positive content times a list with
+    gcd 1 (or no entries, for zero)."""
+    stored = [p for p in (st_._mu1, st_._mu2, st_._mup1, st_._mup2)
+              if p is not None]
+    return all(c > 0 and gcd(*prim) in (0, 1) for c, prim in stored)
+
+
+def _refuse_list_kernels(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError(f"a {name} run reached a coefficient-list kernel")
+
+    monkeypatch.setattr("minseq.solver.dot", refuse)
+    monkeypatch.setattr(Poly, "sub_scaled", refuse)
+
+
+def test_int_runs_call_no_list_kernel(monkeypatch):
+    _refuse_list_kernels(monkeypatch, "int")
+    rng = random.Random(41)
+    terms = [rng.randint(-5, 5) for _ in range(24)]
+    for dom in (IntegerRing(), parse_domain("int")):
+        for massey in (False, True):
+            st_ = minimal_solution(Seq(dom, terms), massey=massey)
+            assert st_.k == 24 and st_.lc == st_.profile[-1] >= 10
+
+
+@pytest.mark.parametrize("p", [3, 65521, 2 ** 61 - 1])
+def test_gfp_runs_call_no_list_kernel(monkeypatch, p):
+    _refuse_list_kernels(monkeypatch, f"gfp:{p}")
+    rng = random.Random(43)
+    s = Seq(parse_domain(f"gfp:{p}"), [rng.randrange(p) for _ in range(500)])
+    for normalized in (False, True):
+        st_ = minimal_solution(s, normalized=normalized)
+        assert st_.k == 500 and st_.lc == st_.profile[-1] >= 240
 
 
 @pytest.mark.parametrize(
     "dom", [GF2(), parse_domain("gf2")], ids=["GF2()", "parse_domain"]
 )
 def test_gf2_runs_call_no_list_kernel(monkeypatch, dom):
-    def refuse(*args):
-        raise AssertionError("a GF(2) run reached a coefficient-list kernel")
-
-    monkeypatch.setattr("minseq.solver.dot", refuse)
-    monkeypatch.setattr(Poly, "sub_scaled", refuse)
+    _refuse_list_kernels(monkeypatch, "GF(2)")
     rng = random.Random(19)
     s = Seq(dom, [rng.randrange(2) for _ in range(2000)])
     for normalized in (False, True):
@@ -335,38 +450,19 @@ _F = Fraction
 def test_rat_kernel_matches_the_list_path(
     terms, other, fork, normalized, massey, with_numerator
 ):
-    kw = dict(normalized=normalized, massey=massey,
-              with_numerator=with_numerator)
-    runs = [[solver_init(d, **kw)] for d in (RationalField(), ListQ())]
-    for t in terms:
-        for run in runs:
-            run.append(solver_step(run[-1], t))
-        assert _fields(runs[0][-1]) == _fields(runs[1][-1])
-        assert _scalar_types(runs[0][-1]) == {Fraction}
-        assert _in_lowest_terms(runs[0][-1])
-    assert runs[0][-1].seq.terms == terms
-    final = _fields(runs[0][-1])
-    # a retained state stepped again with other terms branches off
-    k = fork % len(terms)
-    branches = [run[k] for run in runs]
-    for t in other:
-        branches = [solver_step(b, t) for b in branches]
-        assert _fields(branches[0]) == _fields(branches[1])
-    assert branches[0].seq.terms == terms[:k] + other
-    for run in runs:
-        assert _fields(run[-1]) == final
-        assert _fields(solver_step(run[k], terms[k])) == _fields(run[k + 1])
+    runs = _runs_agree([RationalField(), ListQ()], terms, other, fork,
+                       normalized=normalized, massey=massey,
+                       with_numerator=with_numerator)
+    for st_ in runs[0][1:]:
+        assert _scalar_types(st_) == {Fraction}
+        assert _in_lowest_terms(st_)
 
 
 @pytest.mark.parametrize(
     "dom", [RationalField(), parse_domain("rat")], ids=["RationalField()", "parse_domain"]
 )
 def test_rat_runs_call_no_list_kernel(monkeypatch, dom):
-    def refuse(*args):
-        raise AssertionError("a rat run reached a coefficient-list kernel")
-
-    monkeypatch.setattr("minseq.solver.dot", refuse)
-    monkeypatch.setattr(Poly, "sub_scaled", refuse)
+    _refuse_list_kernels(monkeypatch, "rat")
     rng = random.Random(23)
     terms = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(200)]
     for normalized, n in ((False, 20), (True, 200)):
